@@ -2,7 +2,7 @@
 holding one entry of the servers' shared randomness pool.
 
 The package builds the query scheme, simulates full retrievals, audits the
-privacy and reliability guarantees by exact exhaustive enumeration, computes
+privacy and reliability guarantees exactly as rank identities over F_q, computes
 the achievable rate region, and ships a small binary protocol plus TCP
 transport so the same retrieval runs against live database servers.
 """
@@ -10,11 +10,8 @@ from .audit import (
     AuditReport,
     Distribution,
     InstanceTooLarge,
-    JointTable,
-    MIResult,
     cr_difference_audit,
     database_privacy_audit,
-    mutual_information,
     query_distribution,
     reliability_audit,
     run_all_audits,
@@ -86,8 +83,6 @@ __all__ = [
     "Frame",
     "FrameType",
     "InstanceTooLarge",
-    "JointTable",
-    "MIResult",
     "MUTATIONS",
     "NetError",
     "PirPlan",
@@ -119,7 +114,6 @@ __all__ = [
     "load_database_state",
     "load_user_file",
     "measured_rates",
-    "mutual_information",
     "provision",
     "query_distribution",
     "reliability_audit",

@@ -1,29 +1,38 @@
 """Exhaustive, exact audits of the retrieval scheme's guarantees.
 
-Every audit enumerates the complete joint space of an instance: all message
-stores, all pool values, all user pool choices, and every coin the user can
-flip while building a query. Accounting is done in integers and fractions,
-so a PASS is a proof for that instance rather than a statistical statement;
-mutual information is declared zero only when the joint table factorizes
-exactly into its marginals. numpy is used purely as a fast integer
-enumeration engine.
+Every audit walks the complete space of query tables an instance can emit:
+each pool index the user can hold and every coin the user can flip while
+building a query, merged into distinct tables with integer weights. Nothing
+is sampled, so a PASS is a proof for that instance rather than a statistical
+statement.
+
+The scheme is linear over F_q. Under a fixed query table T, every answer is
+a 0/1 row over the unknowns X = (W, S), all message symbols followed by all
+pool symbols, and so is the user's own pool entry S_u. X is uniform on
+F_q^n, and for any matrix A the vector AX is uniform on A's column space, so
+H(AX | T) = rank(A) q-ary units. For view rows V and target rows B,
+
+    I(VX; BX | T) = rank V + rank B - rank [V; B].
+
+T is drawn from the coins and from u alone, and neither depends on X, so
+I(T; BX) = 0 and I((T, VX); BX) = sum over T of P(T) * I(VX; BX | T): an
+exact Fraction, reached without enumerating X, at a cost that does not grow
+with q. A PASS therefore covers every joint (messages, pool, user index,
+coins) outcome.
 
 Audits:
-  reliability        decoded output equals the stored desired message, always
+  reliability        every step sim.decode plans leaves exactly the desired
+                     symbol's row, so decode is right for every (W, S)
   user-privacy       per-database query distribution forgets the desired index
-  database-privacy   user's view is independent of the undesired messages
-  cr-difference      user's view plus its output reveal nothing about the
-                     pool symbols the user does not hold
+  database-privacy   I(T, answers, S_u; undesired message symbols) = 0
+  cr-difference      I(T, answers, S_u, W_k; pool symbols other than S_u) = 0
 """
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .plan import SchemeParams, plan_with_perms
 from .scheme import (
@@ -34,11 +43,12 @@ from .scheme import (
     assign_common_randomness,
     format_request,
     permute_nonseed,
-    shift_cell,
+    relabel_table,
+    shift_mapping,
     variant_count,
     variant_mappings,
 )
-from .sim import RetrievalSeeds, run_retrieval
+from .sim import DecodeError, RetrievalSeeds, decode_plan, run_retrieval
 from .fields import Seed
 from .wire import encode_query_payload
 
@@ -50,19 +60,19 @@ class AuditError(Exception):
 
 
 class InstanceTooLarge(AuditError):
-    """The instance's joint space exceeds the configured enumeration bound."""
+    """The instance has more query tables than the configured bound."""
 
-    def __init__(self, outcomes: int, bound: int):
+    def __init__(self, tables: int, bound: int):
         super().__init__(
-            f"joint space of {outcomes} outcomes exceeds the bound of {bound}; "
+            f"{tables} query tables exceed the bound of {bound}; "
             "raise the bound or use the sampled statistical mode"
         )
-        self.outcomes = outcomes
+        self.tables = tables
         self.bound = bound
 
 
 # ---------------------------------------------------------------------------
-# Exact distribution containers
+# Exact distribution container
 
 
 @dataclass(frozen=True)
@@ -82,108 +92,6 @@ class Distribution:
 
     def p(self, outcome) -> Fraction:
         return self.mass.get(outcome, Fraction(0))
-
-
-@dataclass(frozen=True)
-class JointTable:
-    """Joint masses over named axes; outcomes are tuples in axis order."""
-
-    axes: tuple[str, ...]
-    mass: dict
-
-    def __post_init__(self) -> None:
-        for k in self.mass:
-            if len(k) != len(self.axes):
-                raise ValueError("outcome arity does not match axes")
-        if sum(self.mass.values()) != 1:
-            raise ValueError("joint masses must sum to exactly 1")
-
-    def _axis(self, name: str) -> int:
-        try:
-            return self.axes.index(name)
-        except ValueError:
-            raise KeyError(f"no axis named {name!r}") from None
-
-    def marginal(self, name: str) -> Distribution:
-        i = self._axis(name)
-        out: dict = {}
-        for k, p in self.mass.items():
-            out[k[i]] = out.get(k[i], Fraction(0)) + p
-        return Distribution(out)
-
-
-@dataclass(frozen=True)
-class MIResult:
-    """Mutual information as an exact sum of p * log_base(ratio) terms.
-
-    Zero is decided symbolically: the information is zero exactly when every
-    ratio equals one, i.e. when the joint factorizes. No logarithm is ever
-    evaluated to make that call.
-    """
-
-    base: int
-    terms: tuple[tuple[Fraction, Fraction], ...]
-
-    def is_zero(self) -> bool:
-        return all(ratio == 1 for _, ratio in self.terms)
-
-    def exact(self) -> Fraction | None:
-        """Exact value when every ratio is an integer power of the base."""
-        total = Fraction(0)
-        for p, ratio in self.terms:
-            e = _exact_log(ratio, self.base)
-            if e is None:
-                return None
-            total += p * e
-        return total
-
-    def approx(self) -> float:
-        return float(
-            sum(float(p) * math.log(float(ratio)) for p, ratio in self.terms)
-            / math.log(self.base)
-        )
-
-    def describe(self) -> str:
-        if self.is_zero():
-            return "0 (exact)"
-        e = self.exact()
-        if e is not None:
-            return f"{e} (exact)"
-        return f"~{self.approx():.6f}"
-
-
-def _exact_log(ratio: Fraction, base: int) -> int | None:
-    def power_of(n: int) -> int | None:
-        if n == 1:
-            return 0
-        e = 0
-        while n % base == 0:
-            n //= base
-            e += 1
-        return e if n == 1 else None
-
-    a = power_of(ratio.numerator)
-    b = power_of(ratio.denominator)
-    if a is None or b is None:
-        return None
-    return a - b
-
-
-def mutual_information(joint: JointTable, axis_a: str, axis_b: str, base: int) -> MIResult:
-    """Exact I(A;B) in base-q units from a joint table."""
-    ia, ib = joint._axis(axis_a), joint._axis(axis_b)
-    pa: dict = {}
-    pb: dict = {}
-    pab: dict = {}
-    for k, p in joint.mass.items():
-        a, b = k[ia], k[ib]
-        pa[a] = pa.get(a, Fraction(0)) + p
-        pb[b] = pb.get(b, Fraction(0)) + p
-        pab[(a, b)] = pab.get((a, b), Fraction(0)) + p
-    terms = tuple(
-        (p, p / (pa[a] * pb[b])) for (a, b), p in sorted(pab.items(), key=repr)
-    )
-    return MIResult(base=base, terms=terms)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +141,7 @@ def joint_space_outcomes(params: SchemeParams) -> int:
 
 
 _SEED1_CACHE: dict = {}
-_ENTRY_CACHE: dict = {}
+_TABLE_CACHE: dict = {}
 
 
 def _seed1_tables(params: SchemeParams, desired: int) -> list[tuple[int, QueryTable]]:
@@ -254,37 +162,28 @@ def _seed1_tables(params: SchemeParams, desired: int) -> list[tuple[int, QueryTa
     return result
 
 
-def _shift_table(table: QueryTable, delta: int, rs: int) -> QueryTable:
-    return tuple(
-        tuple(
-            SpirRequest(sr.base, None if sr.cr is None else ((sr.cr - 1 + delta) % rs) + 1)
-            for sr in db_reqs
-        )
-        for db_reqs in table
-    )
-
-
 def tables_for_seed(
     params: SchemeParams, desired: int, seed: int, mutation: Mutation | None = None
 ) -> list[tuple[int, QueryTable]]:
     """Distinct query tables emitted for (desired, user index), with weights."""
     key = (params, desired, seed, mutation)
-    if key in _ENTRY_CACHE:
-        return _ENTRY_CACHE[key]
+    if key in _TABLE_CACHE:
+        return _TABLE_CACHE[key]
+    shift = shift_mapping(params.rs_size, seed - 1)
     counts: dict[QueryTable, int] = {}
     for w, table in _seed1_tables(params, desired):
-        shifted = _shift_table(table, seed - 1, params.rs_size)
+        shifted = relabel_table(table, shift)
         if mutation is not None:
             shifted = apply_mutation(shifted, desired, seed, mutation)
         counts[shifted] = counts.get(shifted, 0) + w
     result = [(w, t) for t, w in sorted(counts.items(), key=lambda kv: repr(kv[0]))]
-    _ENTRY_CACHE[key] = result
+    _TABLE_CACHE[key] = result
     return result
 
 
-def _check_bound(outcomes: int, bound: int) -> None:
-    if outcomes > bound:
-        raise InstanceTooLarge(outcomes, bound)
+def _check_bound(tables: int, bound: int) -> None:
+    if tables > bound:
+        raise InstanceTooLarge(tables, bound)
 
 
 def _render_db_query(db_reqs: tuple[SpirRequest, ...], length: int) -> str:
@@ -418,354 +317,213 @@ def user_privacy_audit(
 
 
 # ---------------------------------------------------------------------------
-# Vectorized joint enumeration over (messages, pool, user index, coins)
+# Rank identities over F_q, one query table at a time
 
 
-_DIGIT_CACHE: dict = {}
+def rank_mod(rows: list[list[int]], q: int) -> int:
+    """Rank of integer row vectors over the prime field F_q."""
+    basis: dict[int, list[int]] = {}  # leading column -> row, 1 there, 0 before
+    for row in rows:
+        row = [x % q for x in row]
+        for lead in sorted(basis):
+            f = row[lead]
+            if f:
+                row = [(x - f * y) % q for x, y in zip(row, basis[lead])]
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is not None:
+            inv = pow(row[lead], -1, q)
+            basis[lead] = [(x * inv) % q for x in row]
+    return len(basis)
 
 
-def _digits(q: int, n: int) -> np.ndarray:
-    key = (q, n)
-    if key not in _DIGIT_CACHE:
-        span = np.arange(q**n, dtype=np.int64)
-        cols = [(span // q**p) % q for p in range(n - 1, -1, -1)]
-        _DIGIT_CACHE[key] = np.stack(cols, axis=1)
-    return _DIGIT_CACHE[key]
+def _unit(params: SchemeParams, column: int) -> list[int]:
+    row = [0] * (params.K * params.L + params.rs_size)
+    row[column] = 1
+    return row
 
 
-def _pow_vector(q: int, n: int) -> np.ndarray:
-    return q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+def _message_column(params: SchemeParams, message: int, symbol: int) -> int:
+    return (message - 1) * params.L + symbol - 1
 
 
-@dataclass
-class _Entry:
-    index: int
-    weight: int
-    seed: int
-    table: QueryTable
-    flat: list[SpirRequest]
-    answer_matrix_w: np.ndarray
-    answer_matrix_s: np.ndarray
+def _message_rows(params: SchemeParams, message: int) -> list[list[int]]:
+    return [_unit(params, _message_column(params, message, s)) for s in range(1, params.L + 1)]
 
 
-def _entries(params: SchemeParams, desired: int, mutation: Mutation | None) -> list[_Entry]:
-    kl, rs = params.K * params.L, params.rs_size
-    entries = []
-    idx = 0
-    for u in range(1, rs + 1):
-        for w, table in tables_for_seed(params, desired, u, mutation):
-            flat = [sr for db_reqs in table for sr in db_reqs]
-            cw = np.zeros((len(flat), kl), dtype=np.int64)
-            cs = np.zeros((len(flat), rs), dtype=np.int64)
-            for r, sr in enumerate(flat):
-                for m, s in sr.terms:
-                    cw[r, (m - 1) * params.L + (s - 1)] = 1
-                if sr.cr is not None:
-                    cs[r, sr.cr - 1] = 1
-            entries.append(_Entry(idx, w, u, table, flat, cw, cs))
-            idx += 1
-    return entries
+def _pool_column(params: SchemeParams, index: int) -> int:
+    return params.K * params.L + index - 1
 
 
-def _decode_ops(entry: _Entry, params: SchemeParams, desired: int):
-    """Per desired symbol: how the user recovers it from the answer columns.
+def _pool_row(params: SchemeParams, index: int) -> list[int]:
+    return _unit(params, _pool_column(params, index))
 
-    Returns (symbol, source_column, companion_column_or_None); a companion of
-    None means subtract the user's own pool value. A symbol that cannot be
-    resolved the honest way is reported as column -1.
+
+def answer_rows(params: SchemeParams, table: QueryTable) -> list[list[int]]:
+    """Each answer as a 0/1 row over (W_1[1..L], ..., W_K[1..L], S_1..S_rs),
+    database by database."""
+    rows = []
+    for db_reqs in table:
+        for sr in db_reqs:
+            row = [0] * (params.K * params.L + params.rs_size)
+            for m, s in sr.terms:
+                row[_message_column(params, m, s)] = 1
+            if sr.cr is not None:
+                row[_pool_column(params, sr.cr)] = 1
+            rows.append(row)
+    return rows
+
+
+def misdecoded_symbols(
+    params: SchemeParams, desired: int, seed: int, table: QueryTable
+) -> list[int]:
+    """Desired symbols whose sim.decode_plan step is not exactly that symbol.
+
+    A step subtracts its companion's row (or the user's pool row) from its
+    source row; decode returns W_desired for every (W, S) exactly when each
+    difference is the unit row of its symbol mod q, so an empty list is a
+    proof. Raises DecodeError wherever sim.decode_plan does.
     """
-    pos_of: dict[tuple, int] = {}
-    db_of: dict[tuple, int] = {}
-    col = 0
-    for db, db_reqs in enumerate(entry.table, start=1):
-        for sr in db_reqs:
-            pos_of[(sr.terms, sr.cr)] = col
-            db_of[(sr.terms, sr.cr)] = db
-            col += 1
-    ops = []
-    col = 0
-    for db, db_reqs in enumerate(entry.table, start=1):
-        for sr in db_reqs:
-            if desired in sr.base.messages():
-                sym = sr.base.symbol_of(desired)
-                if sr.size == 1:
-                    ops.append((sym, col, None) if sr.cr == entry.seed else (sym, -1, None))
-                else:
-                    key = (sr.base.without(desired).terms, sr.cr)
-                    comp = pos_of.get(key)
-                    if comp is None or db_of[key] == db:
-                        ops.append((sym, -1, None))
-                    else:
-                        ops.append((sym, col, comp))
-            col += 1
-    return ops
+    rows = answer_rows(params, table)
+    wrong = []
+    for sym, source, companion in decode_plan(params, desired, table, seed):
+        sub = _pool_row(params, seed) if companion is None else rows[companion]
+        want = _unit(params, _message_column(params, desired, sym))
+        if any((a - b - t) % params.q for a, b, t in zip(rows[source], sub, want)):
+            wrong.append(sym)
+    return wrong
+
+
+def _information(view: list[list[int]], target: list[list[int]], q: int) -> int:
+    return rank_mod(view, q) + rank_mod(target, q) - rank_mod(view + target, q)
+
+
+def database_privacy_leak(params: SchemeParams, desired: int, seed: int, table: QueryTable) -> int:
+    """I(answers, S_seed; undesired message symbols | T) in q-ary units."""
+    view = answer_rows(params, table) + [_pool_row(params, seed)]
+    target = [
+        row for m in range(1, params.K + 1) if m != desired for row in _message_rows(params, m)
+    ]
+    return _information(view, target, params.q)
+
+
+def cr_difference_leak(params: SchemeParams, desired: int, seed: int, table: QueryTable) -> int:
+    """I(answers, S_seed, W_desired; pool symbols other than S_seed | T)."""
+    view = (
+        answer_rows(params, table) + [_pool_row(params, seed)] + _message_rows(params, desired)
+    )
+    target = [_pool_row(params, i) for i in range(1, params.rs_size + 1) if i != seed]
+    return _information(view, target, params.q)
+
+
+def _weighted_tables(params: SchemeParams, desired: int, mutation: Mutation | None):
+    for u in range(1, params.rs_size + 1):
+        for w, table in tables_for_seed(params, desired, u, mutation):
+            yield u, w, table
+
+
+def _passed(name: str, value: str, params: SchemeParams, tables: int) -> AuditReport:
+    outcomes = joint_space_outcomes(params)
+    return AuditReport(
+        name,
+        True,
+        f"{value} on all {outcomes} joint outcomes per desired index",
+        details={"outcomes": outcomes, "tables": tables},
+    )
 
 
 def reliability_audit(
     params: SchemeParams,
     mutation: Mutation | None = None,
     bound: int = DEFAULT_BOUND,
-    workers: int = 1,
 ) -> AuditReport:
     """Decode must return the stored desired message on every joint outcome."""
-    outcomes = joint_space_outcomes(params)
-    _check_bound(outcomes, bound)
+    _check_bound(table_space_outcomes(params), bound)
     name = "reliability"
-    q, kl, rs = params.q, params.K * params.L, params.rs_size
-    digits = _digits(q, kl + rs)
-    wd, sd = digits[:, :kl], digits[:, kl:]
-
+    tables = 0
     for desired in range(1, params.K + 1):
-        target = wd[:, (desired - 1) * params.L : desired * params.L]
-
-        def check(entry: _Entry):
-            answers = (wd @ entry.answer_matrix_w.T + sd @ entry.answer_matrix_s.T) % q
-            su = sd[:, entry.seed - 1]
-            ops = _decode_ops(entry, params, desired)
-            if len(ops) != params.L or any(c < 0 for _, c, _ in ops):
-                return entry, np.zeros(0), "structurally undecodable"
-            bad = np.zeros(answers.shape[0], dtype=bool)
-            for sym, c, comp in ops:
-                dec = (answers[:, c] - (su if comp is None else answers[:, comp])) % q
-                bad |= dec != target[:, sym - 1]
-            return entry, np.flatnonzero(bad), None
-
-        results = _map_entries(check, _entries(params, desired, mutation), workers)
-        for entry, bad_rows, reason in results:
-            if reason is not None:
-                return AuditReport(
-                    name,
-                    False,
-                    f"desired W{desired}: {reason}",
-                    witness=_render_table(entry.table, params.L),
-                )
-            if bad_rows.size:
-                row = int(bad_rows[0])
-                return AuditReport(
-                    name,
-                    False,
-                    f"desired W{desired}: {int(bad_rows.size)} joint outcomes decode wrongly "
-                    f"(weight {entry.weight} each)",
-                    witness=(
-                        f"store digits {wd[row].tolist()}, pool {sd[row].tolist()}, "
-                        f"user S{entry.seed}, query {_render_table(entry.table, params.L)}"
-                    ),
-                )
-    return AuditReport(
-        name,
-        True,
-        f"decode exact on all {outcomes} joint outcomes per desired index",
-        details={"outcomes": outcomes},
-    )
-
-
-def _map_entries(fn, entries, workers: int):
-    if workers <= 1:
-        return [fn(e) for e in entries]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, entries))
-
-
-def _group_sum(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if keys.size == 0:
-        return keys, weights
-    order = np.argsort(keys, kind="stable")
-    k, w = keys[order], weights[order]
-    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-    return k[starts], np.add.reduceat(w, starts)
-
-
-def merge_grouped(
-    a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact merge of two grouped count shards; associative and commutative."""
-    return _group_sum(np.concatenate([a[0], b[0]]), np.concatenate([a[1], b[1]]))
-
-
-@dataclass
-class _FactorizationResult:
-    independent: bool
-    witness: str | None
-    mi: MIResult | None
-    approx: float
-
-
-def _factorization_check(
-    view_keys: list[np.ndarray],
-    target_keys: list[np.ndarray],
-    weights: list[np.ndarray],
-    target_space: int,
-    q: int,
-) -> _FactorizationResult:
-    """Exact test of P(view, target) = P(view) P(target) on integer counts."""
-    vk_all = np.concatenate(view_keys)
-    tk_all = np.concatenate(target_keys)
-    w_all = np.concatenate(weights)
-    total = int(w_all.sum())
-    if total >= 1 << 31:
-        raise AuditError("joint count too large for exact 64-bit products")
-    joint = vk_all * np.int64(target_space) + tk_all
-    jk, jc = _group_sum(joint, w_all)
-    vk, vc = _group_sum(vk_all, w_all)
-    tk, tc = _group_sum(tk_all, w_all)
-
-    jv = jk // target_space
-    jt = jk % target_space
-    lhs = jc * np.int64(total)
-    rhs = vc[np.searchsorted(vk, jv)] * tc[np.searchsorted(tk, jt)]
-    ok_counts = bool(np.array_equal(lhs, rhs))
-    complete = len(jk) == len(vk) * len(tk)
-
-    mi: MIResult | None = None
-    if len(jk) <= 20000:
-        terms = []
-        tc_map = {int(t): int(c) for t, c in zip(tk, tc)}
-        vc_map = {int(v): int(c) for v, c in zip(vk, vc)}
-        for jkey, jcount in zip(jk, jc):
-            p = Fraction(int(jcount), total)
-            ratio = Fraction(
-                int(jcount) * total,
-                vc_map[int(jkey // target_space)] * tc_map[int(jkey % target_space)],
+        for u, _, table in _weighted_tables(params, desired, mutation):
+            tables += 1
+            try:
+                wrong = misdecoded_symbols(params, desired, u, table)
+            except DecodeError as e:
+                value = f"desired W{desired}: structurally undecodable ({e})"
+            else:
+                if not wrong:
+                    continue
+                value = f"desired W{desired}: decode misses W{desired}{wrong} on some (W, S)"
+            return AuditReport(
+                name, False, value, witness=f"user S{u}, query {_render_table(table, params.L)}"
             )
-            terms.append((p, ratio))
-        mi = MIResult(base=q, terms=tuple(terms))
-
-    if ok_counts and complete:
-        return _FactorizationResult(True, None, mi, 0.0)
-
-    with np.errstate(all="ignore"):
-        approx = float(
-            np.sum((jc / total) * np.log(lhs / rhs)) / math.log(q)
-        )
-    if not ok_counts:
-        i = int(np.flatnonzero(lhs != rhs)[0])
-        witness = (
-            f"P(view={int(jv[i])}, target={int(jt[i])}) = {int(jc[i])}/{total} but "
-            f"P(view)P(target) = {int(rhs[i])}/{total}^2"
-        )
-    else:
-        witness = (
-            f"support holds {len(jk)} pairs, independence needs "
-            f"{len(vk)} x {len(tk)}; some (view, target) pair never occurs"
-        )
-    return _FactorizationResult(False, witness, mi, approx)
+    return _passed(name, "decode exact", params, tables)
 
 
-def _mi_audit(
+def _leak_audit(
     params: SchemeParams,
     mutation: Mutation | None,
     bound: int,
-    workers: int,
     name: str,
-    include_desired_message: bool,
-    target_undesired: bool,
+    leak,
 ) -> AuditReport:
-    outcomes = joint_space_outcomes(params)
-    _check_bound(outcomes, bound)
-    q, kl, rs, L = params.q, params.K * params.L, params.rs_size, params.L
-    digits = _digits(q, kl + rs)
-    wd, sd = digits[:, :kl], digits[:, kl:]
-    rows = digits.shape[0]
-
+    _check_bound(table_space_outcomes(params), bound)
+    weight_total = coin_count(params) * params.rs_size
+    tables = 0
     for desired in range(1, params.K + 1):
-        undesired_cols = [
-            (m - 1) * L + i for m in range(1, params.K + 1) if m != desired for i in range(L)
-        ]
-        wk_cols = [(desired - 1) * L + i for i in range(L)]
-        und = wd[:, undesired_cols] @ _pow_vector(q, len(undesired_cols))
-        wk = wd[:, wk_cols] @ _pow_vector(q, L)
-        entries = _entries(params, desired, mutation)
-        n_requests = len(entries[0].flat)
-        apow = _pow_vector(q, n_requests)
-
-        def build(entry: _Entry):
-            answers = (wd @ entry.answer_matrix_w.T + sd @ entry.answer_matrix_s.T) % q
-            a_packed = answers @ apow
-            su = sd[:, entry.seed - 1]
-            view = (np.int64(entry.index) * (q**n_requests) + a_packed) * q + su
-            if include_desired_message:
-                view = view * np.int64(q**L) + wk
-            if target_undesired:
-                target = und
-            else:
-                rest_cols = [c for c in range(rs) if c != entry.seed - 1]
-                target = sd[:, rest_cols] @ _pow_vector(q, rs - 1)
-            weightv = np.full(rows, entry.weight, dtype=np.int64)
-            return view, target, weightv
-
-        built = _map_entries(build, entries, workers)
-        tspace = q ** (kl - L) if target_undesired else q ** (rs - 1)
-        res = _factorization_check(
-            [b[0] for b in built], [b[1] for b in built], [b[2] for b in built], tspace, q
-        )
-        if not res.independent:
-            value = res.mi.describe() if res.mi is not None else f"~{res.approx:.6f}"
+        total = 0
+        witness = None
+        for u, w, table in _weighted_tables(params, desired, mutation):
+            tables += 1
+            units = leak(params, desired, u, table)
+            if units and witness is None:
+                witness = (
+                    f"I(view; target | T) = {units} at user S{u}, "
+                    f"T = {_render_table(table, params.L)}"
+                )
+            total += w * units
+        if total:
+            info = Fraction(total, weight_total)
             return AuditReport(
                 name,
                 False,
-                f"desired W{desired}: information leak, I = {value}",
-                witness=res.witness,
+                f"desired W{desired}: information leak, I = {info} (exact)",
+                witness=witness,
+                details={"leak": str(info)},
             )
-    return AuditReport(
-        name,
-        True,
-        f"I = 0 (exact factorization) on all {outcomes} joint outcomes per desired index",
-        details={"outcomes": outcomes},
-    )
+    return _passed(name, "I = 0 (exact factorization)", params, tables)
 
 
 def database_privacy_audit(
     params: SchemeParams,
     mutation: Mutation | None = None,
     bound: int = DEFAULT_BOUND,
-    workers: int = 1,
 ) -> AuditReport:
     """User's whole view must be independent of the undesired messages.
 
-    View = (coins/query, answers, user pool entry); target = every message
+    View = (query table, answers, user pool entry); target = every message
     symbol outside the desired message.
     """
-    return _mi_audit(
-        params,
-        mutation,
-        bound,
-        workers,
-        "database-privacy",
-        include_desired_message=False,
-        target_undesired=True,
-    )
+    return _leak_audit(params, mutation, bound, "database-privacy", database_privacy_leak)
 
 
 def cr_difference_audit(
     params: SchemeParams,
     mutation: Mutation | None = None,
     bound: int = DEFAULT_BOUND,
-    workers: int = 1,
 ) -> AuditReport:
     """View plus the decoded message must reveal nothing about the rest of
     the pool (the shared-randomness symbols the user does not hold)."""
-    return _mi_audit(
-        params,
-        mutation,
-        bound,
-        workers,
-        "cr-difference",
-        include_desired_message=True,
-        target_undesired=False,
-    )
+    return _leak_audit(params, mutation, bound, "cr-difference", cr_difference_leak)
 
 
 def run_all_audits(
     params: SchemeParams,
     mutation: Mutation | None = None,
     bound: int = DEFAULT_BOUND,
-    workers: int = 1,
 ) -> list[AuditReport]:
     return [
-        reliability_audit(params, mutation, bound, workers),
+        reliability_audit(params, mutation, bound),
         user_privacy_audit(params, mutation, bound),
-        database_privacy_audit(params, mutation, bound, workers),
-        cr_difference_audit(params, mutation, bound, workers),
+        database_privacy_audit(params, mutation, bound),
+        cr_difference_audit(params, mutation, bound),
     ]
 
 

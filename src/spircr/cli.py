@@ -8,8 +8,9 @@ Subcommands:
   provision  deal seeded state files for the database servers and the user
   serve      serve one database over TCP from a provisioned state file
 
-Exit codes: 0 success, 1 failed audit or failed retrieval, 2 usage or an
-instance too large to enumerate.
+Exit codes: 0 success, 1 failed audit or failed retrieval, 2 usage (a fault
+that cannot apply to the instance included) or an instance too large to
+enumerate.
 """
 from __future__ import annotations
 
@@ -47,6 +48,7 @@ from .region import (
 from .scheme import (
     MUTATIONS,
     RateTriple,
+    SchemeError,
     canonical_family,
     family_json,
     measured_rates,
@@ -88,10 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--bound",
         type=int,
         default=int(os.environ.get("SPIRCR_BOUND", DEFAULT_BOUND)),
-        help="max joint outcomes to enumerate",
+        help="max query tables to enumerate",
     )
     a.add_argument("--inject", choices=MUTATIONS, help="fault to inject")
-    a.add_argument("--workers", type=int, default=1)
     a.add_argument("--statistical", action="store_true", help="sampled fallback instead")
     a.add_argument("--samples", type=int, default=2000)
 
@@ -178,6 +179,9 @@ def cmd_retrieve(parser, args) -> int:
         except DecodeError as e:
             print(f"retrieval failed: {e}", file=sys.stderr)
             return 1
+        except SchemeError as e:
+            print(f"cannot inject {args.inject}: {e}", file=sys.stderr)
+            return 2
     if args.format == "json":
         print(transcript.to_json(indent=2))
     else:
@@ -194,9 +198,12 @@ def cmd_audit(parser, args) -> int:
         print(report.line())
         return 0 if report.passed else 1
     try:
-        reports = run_all_audits(params, args.inject, args.bound, args.workers)
+        reports = run_all_audits(params, args.inject, args.bound)
     except InstanceTooLarge as e:
         print(f"refusing to enumerate: {e}", file=sys.stderr)
+        return 2
+    except SchemeError as e:
+        print(f"cannot inject {args.inject}: {e}", file=sys.stderr)
         return 2
     for report in reports:
         print(report.line())

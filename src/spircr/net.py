@@ -183,6 +183,10 @@ class _Handler(socketserver.BaseRequestHandler):
                 return
 
 
+# How often the serve loop looks for a shutdown request, which bounds stop().
+_POLL_INTERVAL_S = 0.05
+
+
 class DatabaseServer(socketserver.ThreadingTCPServer):
     """One replicated database serving masked sums over TCP."""
 
@@ -229,7 +233,9 @@ class DatabaseServer(socketserver.ThreadingTCPServer):
         return Frame(FrameType.ANSWER, encode_answer_payload(values))
 
     def start(self) -> "DatabaseServer":
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self.serve_forever, args=(_POLL_INTERVAL_S,), daemon=True
+        )
         self._thread.start()
         return self
 
@@ -277,7 +283,7 @@ def run_client_retrieval(
     frames = [
         Frame(FrameType.QUERY, encode_query_payload(params, reqs)) for reqs in query
     ]
-    with ThreadPoolExecutor(max_workers=params.N) as pool:
+    with ThreadPoolExecutor(params.N) as pool:
         replies = list(pool.map(lambda af: _exchange(af[0], af[1], timeout), zip(addresses, frames)))
     answers = []
     for (host, port), reply in zip(addresses, replies):

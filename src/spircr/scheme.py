@@ -171,17 +171,21 @@ def merge_cells(cells: Iterable[QueryCell]) -> QueryCell:
     return replace(first, per_choice=merged)
 
 
+def relabel_table(table: QueryTable, mapping: dict[int, int]) -> QueryTable:
+    """Rename every pool index by mapping; unmasked requests stay unmasked."""
+    return tuple(
+        tuple(SpirRequest(sr.base, None if sr.cr is None else mapping[sr.cr]) for sr in db_reqs)
+        for db_reqs in table
+    )
+
+
+def shift_mapping(rs_size: int, delta: int) -> dict[int, int]:
+    """Pool index i -> i + delta, cyclically over 1..rs_size."""
+    return {i: ((i - 1 + delta) % rs_size) + 1 for i in range(1, rs_size + 1)}
+
+
 def _relabel(cell: QueryCell, mapping: dict[int, int], new_seed: int, variant: Permutation) -> QueryCell:
-    per_choice = {
-        k: tuple(
-            tuple(
-                SpirRequest(sr.base, None if sr.cr is None else mapping[sr.cr])
-                for sr in db_reqs
-            )
-            for db_reqs in table
-        )
-        for k, table in cell.per_choice.items()
-    }
+    per_choice = {k: relabel_table(table, mapping) for k, table in cell.per_choice.items()}
     return QueryCell(params=cell.params, seed=new_seed, per_choice=per_choice, variant=variant)
 
 
@@ -201,8 +205,7 @@ def permute_nonseed(cell: QueryCell, mapping: dict[int, int]) -> QueryCell:
 
 def shift_cell(cell: QueryCell, delta: int) -> QueryCell:
     """Add delta (mod pool size) to every index; seed moves with the rest."""
-    rs = cell.params.rs_size
-    mapping = {i: ((i - 1 + delta) % rs) + 1 for i in range(1, rs + 1)}
+    mapping = shift_mapping(cell.params.rs_size, delta)
     return _relabel(cell, mapping, mapping[cell.seed], cell.variant)
 
 

@@ -122,6 +122,57 @@ def answer_query(
     return tuple(out)
 
 
+DecodeStep = tuple[int, int, int | None]
+
+
+def decode_plan(
+    params: SchemeParams, desired: int, query: QueryTable, user_index: int
+) -> tuple[DecodeStep, ...]:
+    """How the user recovers the desired message from a query's answers.
+
+    One step per request that carries a desired symbol: (symbol, source,
+    companion), where positions count the query's requests database by
+    database. A companion of None means the user's own pool value. 1-sums of
+    the desired message are unmasked with that value; larger sums subtract
+    the companion answer found at another database, which carries the same
+    mask and the same side information.
+    """
+    position: dict[tuple, int] = {}
+    origin: dict[tuple, int] = {}
+    pos = 0
+    for db, reqs in enumerate(query, start=1):
+        for sr in reqs:
+            position[(sr.terms, sr.cr)] = pos
+            origin[(sr.terms, sr.cr)] = db
+            pos += 1
+
+    steps: list[DecodeStep] = []
+    for db, reqs in enumerate(query, start=1):
+        for sr in reqs:
+            if desired not in sr.base.messages():
+                continue
+            sym = sr.base.symbol_of(desired)
+            source = position[(sr.terms, sr.cr)]
+            if sr.size == 1:
+                if sr.cr != user_index:
+                    raise DecodeError(
+                        f"desired 1-sum masked with S{sr.cr}, user holds S{user_index}"
+                    )
+                steps.append((sym, source, None))
+            else:
+                key = (sr.base.without(desired).terms, sr.cr)
+                if key not in position or origin[key] == db:
+                    raise DecodeError(
+                        f"no companion answer for a {sr.size}-sum at db{db}"
+                    )
+                steps.append((sym, source, position[key]))
+
+    missing = sorted(set(range(1, params.L + 1)) - {sym for sym, _, _ in steps})
+    if missing:
+        raise DecodeError(f"undecoded desired symbols: {missing}")
+    return tuple(steps)
+
+
 def decode(
     params: SchemeParams,
     desired: int,
@@ -129,55 +180,20 @@ def decode(
     answers: tuple[tuple[int, ...], ...],
     user: UserRandomness,
 ) -> tuple[int, ...]:
-    """Recover the desired message, symbol by symbol.
-
-    1-sums of the desired message are unmasked with the user's own pool
-    value; larger sums subtract the companion answer found at another
-    database, which carries the same mask and the same side information.
-    """
+    """Recover the desired message, symbol by symbol, along decode_plan."""
     q = params.q
     if len(answers) != len(query):
         raise DecodeError("answer/query database count mismatch")
-    value_of: dict[tuple, int] = {}
-    origin: dict[tuple, int] = {}
     for db, (reqs, vals) in enumerate(zip(query, answers), start=1):
         if len(reqs) != len(vals):
             raise DecodeError(f"db{db}: {len(vals)} answers for {len(reqs)} requests")
-        for sr, v in zip(reqs, vals):
-            value_of[(sr.terms, sr.cr)] = v
-            origin[(sr.terms, sr.cr)] = db
+    flat = [v for vals in answers for v in vals]
 
     recovered: dict[int, int] = {}
-
-    def put(sym: int, val: int) -> None:
-        if sym in recovered and recovered[sym] != val:
+    for sym, source, companion in decode_plan(params, desired, query, user.index):
+        val = (flat[source] - (user.value if companion is None else flat[companion])) % q
+        if recovered.setdefault(sym, val) != val:
             raise DecodeError(f"conflicting values for W{desired}[{sym}]")
-        recovered[sym] = val
-
-    for db, reqs in enumerate(query, start=1):
-        for sr in reqs:
-            if desired not in sr.base.messages():
-                continue
-            sym = sr.base.symbol_of(desired)
-            v = value_of[(sr.terms, sr.cr)]
-            if sr.size == 1:
-                if sr.cr != user.index:
-                    raise DecodeError(
-                        f"desired 1-sum masked with S{sr.cr}, user holds S{user.index}"
-                    )
-                put(sym, (v - user.value) % q)
-            else:
-                rest = sr.base.without(desired)
-                comp = value_of.get((rest.terms, sr.cr))
-                if comp is None or origin[(rest.terms, sr.cr)] == db:
-                    raise DecodeError(
-                        f"no companion answer for a {sr.size}-sum at db{db}"
-                    )
-                put(sym, (v - comp) % q)
-
-    if set(recovered) != set(range(1, params.L + 1)):
-        missing = sorted(set(range(1, params.L + 1)) - set(recovered))
-        raise DecodeError(f"undecoded desired symbols: {missing}")
     return tuple(recovered[i] for i in range(1, params.L + 1))
 
 

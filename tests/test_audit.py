@@ -1,20 +1,18 @@
-import math
-import random
+import itertools
+from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
+from spircr import audit
 from spircr.audit import (
     Distribution,
     InstanceTooLarge,
-    JointTable,
-    MIResult,
     coin_count,
     cr_difference_audit,
+    cr_difference_leak,
     database_privacy_audit,
-    merge_grouped,
-    mutual_information,
+    database_privacy_leak,
     query_distribution,
     reliability_audit,
     run_all_audits,
@@ -23,6 +21,15 @@ from spircr.audit import (
     user_privacy_audit,
 )
 from spircr.plan import SchemeParams
+from spircr.scheme import MUTATIONS, SchemeError
+from spircr.sim import (
+    DecodeError,
+    MessageStore,
+    ServerRandomness,
+    UserRandomness,
+    answer_query,
+    decode,
+)
 
 
 def test_distribution_invariants():
@@ -31,62 +38,6 @@ def test_distribution_invariants():
         Distribution({b"a": Fraction(1, 2)})
     with pytest.raises(ValueError):
         Distribution({b"a": Fraction(3, 2), b"b": Fraction(-1, 2)})
-
-
-def test_joint_table_marginals():
-    j = JointTable(
-        axes=("x", "y"),
-        mass={
-            (0, 0): Fraction(1, 4), (0, 1): Fraction(1, 4),
-            (1, 0): Fraction(1, 4), (1, 1): Fraction(1, 4),
-        },
-    )
-    assert j.marginal("x").mass == {0: Fraction(1, 2), 1: Fraction(1, 2)}
-    with pytest.raises(KeyError):
-        j.marginal("z")
-    with pytest.raises(ValueError):
-        JointTable(axes=("x",), mass={(0,): Fraction(1, 2)})
-
-
-def test_mi_independent_pair_is_zero():
-    j = JointTable(
-        axes=("a", "b"),
-        mass={(x, y): Fraction(1, 6) for x in (0, 1) for y in (0, 1, 2)},
-    )
-    mi = mutual_information(j, "a", "b", base=2)
-    assert mi.is_zero()
-    assert mi.exact() == 0
-
-
-def test_mi_identical_pair_is_one_bit():
-    j = JointTable(
-        axes=("a", "b"),
-        mass={(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)},
-    )
-    mi = mutual_information(j, "a", "b", base=2)
-    assert not mi.is_zero()
-    assert mi.exact() == 1
-
-
-def test_mi_matches_brute_force_float():
-    rng = random.Random(11)
-    weights = [[rng.randrange(1, 9) for _ in range(3)] for _ in range(3)]
-    total = sum(sum(row) for row in weights)
-    mass = {
-        (x, y): Fraction(weights[x][y], total) for x in range(3) for y in range(3)
-    }
-    j = JointTable(axes=("a", "b"), mass=mass)
-    mi = mutual_information(j, "a", "b", base=3)
-
-    pa = [sum(weights[x]) / total for x in range(3)]
-    pb = [sum(weights[x][y] for x in range(3)) / total for y in range(3)]
-    direct = sum(
-        (weights[x][y] / total)
-        * math.log((weights[x][y] / total) / (pa[x] * pb[y]), 3)
-        for x in range(3)
-        for y in range(3)
-    )
-    assert mi.approx() == pytest.approx(direct, abs=1e-12)
 
 
 def test_single_db_marginal_query_distribution():
@@ -136,7 +87,7 @@ def test_enumeration_completeness_two_db():
         assert all(w == 2 for w, _ in entries)
 
 
-@pytest.mark.parametrize("n,k,q", [(1, 2, 2), (1, 2, 3), (1, 3, 2), (1, 3, 3)])
+@pytest.mark.parametrize("n,k,q", [(1, 2, 2), (1, 2, 3), (1, 3, 2), (1, 3, 3), (2, 2, 3)])
 def test_all_audits_pass_single_db(n, k, q):
     p = SchemeParams.create(n, k, q)
     for report in run_all_audits(p):
@@ -149,6 +100,7 @@ def test_reliability_two_db():
     report = reliability_audit(p)
     assert report.passed
     assert report.details["outcomes"] == 3 * 1152 * 2**11
+    assert report.details["tables"] == 2 * 3 * 576
 
 
 def test_user_privacy_catches_seed_reuse():
@@ -181,6 +133,21 @@ def test_cr_difference_catches_bare_companion():
     assert report.witness
 
 
+def test_reliability_reads_the_shipped_decode_plan(monkeypatch):
+    # a decoder that files every recovered value under the next symbol
+    p = SchemeParams.create(2, 2, 2)
+    plan = audit.decode_plan
+    monkeypatch.setattr(
+        audit,
+        "decode_plan",
+        lambda *args: tuple((s % p.L + 1, src, comp) for s, src, comp in plan(*args)),
+    )
+    report = reliability_audit(p)
+    assert not report.passed
+    assert "decode misses W1[" in report.value
+    assert report.witness
+
+
 def test_reliability_catches_bare_companion():
     p = SchemeParams.create(2, 2, 2)
     report = reliability_audit(p, mutation="bare-companion")
@@ -195,28 +162,6 @@ def test_audits_refuse_oversized_instance():
         database_privacy_audit(p)
 
 
-def test_workers_do_not_change_results():
-    p = SchemeParams.create(2, 2, 2)
-    a = database_privacy_audit(p, workers=1)
-    b = database_privacy_audit(p, workers=4)
-    assert a.passed and b.passed
-    assert a.value == b.value
-
-
-def test_merge_grouped_is_order_independent():
-    rng = np.random.default_rng(5)
-    keys = rng.integers(0, 50, size=300)
-    weights = rng.integers(1, 7, size=300)
-    shard_a = (keys[:100], weights[:100])
-    shard_b = (keys[100:200], weights[100:200])
-    shard_c = (keys[200:], weights[200:])
-    left = merge_grouped(merge_grouped(shard_a, shard_b), shard_c)
-    right = merge_grouped(shard_a, merge_grouped(shard_c, shard_b))
-    assert np.array_equal(left[0], right[0])
-    assert np.array_equal(left[1], right[1])
-    assert left[1].sum() == weights.sum()
-
-
 def test_statistical_mode_smoke():
     p = SchemeParams.create(1, 3, 2)
     report = statistical_user_privacy(p, samples=300)
@@ -225,11 +170,99 @@ def test_statistical_mode_smoke():
     assert "statistical" in report.line()
 
 
-def test_mi_result_describe():
-    zero = MIResult(base=2, terms=((Fraction(1), Fraction(1)),))
-    assert zero.describe() == "0 (exact)"
-    one = MIResult(base=2, terms=((Fraction(1), Fraction(2)),))
-    assert one.describe() == "1 (exact)"
-    odd = MIResult(base=2, terms=((Fraction(1), Fraction(3, 2)),))
-    assert odd.exact() is None
-    assert odd.describe().startswith("~")
+# ---------------------------------------------------------------------------
+# Rank identities against brute force over every (W, S)
+
+
+def _log_q(ratio: Fraction, q: int) -> int:
+    """log_q of an integer power of q; anything else fails the test."""
+    num, den, e = ratio.numerator, ratio.denominator, 0
+    while num % q == 0:
+        num, e = num // q, e + 1
+    while den % q == 0:
+        den, e = den // q, e - 1
+    assert num == den == 1, f"{ratio} is not a power of {q}"
+    return e
+
+
+def _information(pairs: Counter, q: int) -> Fraction:
+    """Exact I(view; target) in q-ary units from (view, target) counts."""
+    total = sum(pairs.values())
+    views, targets = Counter(), Counter()
+    for (v, t), c in pairs.items():
+        views[v] += c
+        targets[t] += c
+    return sum(
+        (Fraction(c, total) * _log_q(Fraction(c * total, views[v] * targets[t]), q)
+         for (v, t), c in pairs.items()),
+        Fraction(0),
+    )
+
+
+def _brute_force(params, desired, seed, table):
+    """Run answer_query and sim.decode on every (W, S) under one query table.
+
+    Returns whether decode returned W_desired on every outcome, and the two
+    conditional informations the leak audits state, from exact counts.
+    """
+    k, length, q = params.K, params.L, params.q
+    always_right = True
+    db_pairs, cr_pairs = Counter(), Counter()
+    for x in itertools.product(range(q), repeat=k * length + params.rs_size):
+        messages = tuple(x[m * length:(m + 1) * length] for m in range(k))
+        pool = x[k * length:]
+        store = MessageStore(params, messages)
+        randomness = ServerRandomness(params, pool)
+        answers = tuple(
+            answer_query(db, reqs, store, randomness) for db, reqs in enumerate(table, start=1)
+        )
+        try:
+            right = decode(params, desired, table, answers, UserRandomness(seed, pool[seed - 1]))
+            right = right == messages[desired - 1]
+        except DecodeError:
+            right = False
+        always_right = always_right and right
+        view = (answers, pool[seed - 1])
+        undesired = tuple(messages[m] for m in range(k) if m != desired - 1)
+        rest_of_pool = tuple(p for i, p in enumerate(pool, start=1) if i != seed)
+        db_pairs[(view, undesired)] += 1
+        cr_pairs[((view, messages[desired - 1]), rest_of_pool)] += 1
+    return always_right, _information(db_pairs, q), _information(cr_pairs, q)
+
+
+def _identity_holds(params, desired, seed, table) -> bool:
+    try:
+        return not audit.misdecoded_symbols(params, desired, seed, table)
+    except DecodeError:
+        return False
+
+
+@pytest.mark.parametrize(
+    "n,k,q,picks",
+    [(1, 2, 2, None), (1, 2, 3, None), (1, 3, 2, None), (2, 2, 2, (0, 575))],
+)
+def test_rank_audits_match_brute_force(n, k, q, picks):
+    # picks=None checks every table; otherwise the listed table positions of
+    # each (desired, seed, mutation) enumeration
+    p = SchemeParams.create(n, k, q)
+    leaky = undecodable = 0
+    for mutation in (None, *MUTATIONS):
+        for desired in range(1, k + 1):
+            for seed in range(1, p.rs_size + 1):
+                try:
+                    weighted = tables_for_seed(p, desired, seed, mutation)
+                except SchemeError:
+                    continue  # the fault has no eligible request at this shape
+                if picks is not None:
+                    weighted = [weighted[i] for i in picks if i < len(weighted)]
+                for _, table in weighted:
+                    right, db_info, cr_info = _brute_force(p, desired, seed, table)
+                    assert right == _identity_holds(p, desired, seed, table), table
+                    assert db_info == database_privacy_leak(p, desired, seed, table), table
+                    assert cr_info == cr_difference_leak(p, desired, seed, table), table
+                    leaky += bool(db_info or cr_info)
+                    undecodable += not right
+    # the faults exercise both sides of the identities; a single database
+    # decodes under every applicable fault
+    assert leaky
+    assert undecodable or n == 1

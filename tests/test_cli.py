@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +96,19 @@ def test_audit_injected_fault_exits_one(capsys):
     assert any(l.startswith("FAIL user-privacy") for l in out.splitlines())
 
 
+@pytest.mark.parametrize("argv", [
+    ["audit", "--n", "1", "--k", "2", "--q", "2"],
+    ["retrieve", "--n", "1", "--k", "2", "--desired", "1"],
+])
+def test_inapplicable_fault_exits_two(capsys, argv):
+    # a single database has no larger sum whose companion could go bare
+    code, out, err = run(capsys, *argv, "--inject", "bare-companion")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "cannot inject bare-companion" in err
+
+
 def test_audit_refuses_oversized(capsys):
     code, _, err = run(capsys, "audit", "--n", "2", "--k", "3", "--q", "2")
     assert code == 2
@@ -101,7 +117,7 @@ def test_audit_refuses_oversized(capsys):
 
 def test_audit_bound_env(capsys, monkeypatch):
     monkeypatch.setenv("SPIRCR_BOUND", "10")
-    code, _, err = run(capsys, "audit", "--n", "1", "--k", "2", "--q", "2")
+    code, _, err = run(capsys, "audit", "--n", "2", "--k", "2", "--q", "2")
     assert code == 2
     assert "refusing to enumerate" in err
 
@@ -173,3 +189,15 @@ def test_usage_errors_exit_two(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def test_package_import_does_not_load_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", "import spircr, sys; print('numpy' in sys.modules)"],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"

@@ -2,6 +2,7 @@ import hashlib
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -125,6 +126,17 @@ def test_hello_exchange(served):
         write_frame(sock, Frame(FrameType.HELLO, b""))
         reply = read_frame(sock)
     assert reply.ftype == FrameType.HELLO
+
+
+def test_stop_returns_promptly(tmp_path):
+    _, _, state_path, _ = make_state(tmp_path, label="stop")
+    server = serve_database(load_database_state(state_path), 1)
+    with socket.create_connection(server.address) as sock:
+        write_frame(sock, Frame(FrameType.HELLO, b""))
+        assert read_frame(sock).ftype == FrameType.HELLO
+    started = time.monotonic()
+    server.stop()
+    assert time.monotonic() - started < 0.2
 
 
 def test_error_frame_then_connection_survives(served):
