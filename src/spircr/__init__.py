@@ -19,11 +19,8 @@ from .audit import (
     user_privacy_audit,
 )
 from .fields import (
-    FieldElement,
-    PrimeModulus,
     Seed,
     SeededStream,
-    TapeStream,
     is_prime,
     sample_permutation,
 )
@@ -55,13 +52,11 @@ from .region import (
 )
 from .scheme import (
     MUTATIONS,
-    QueryCell,
     RateTriple,
     SpirRequest,
     canonical_family,
     measured_rates,
     select_query,
-    validate_query_cell,
 )
 from .sim import (
     DecodeError,
@@ -79,15 +74,12 @@ __all__ = [
     "DatabaseServer",
     "DecodeError",
     "Distribution",
-    "FieldElement",
     "Frame",
     "FrameType",
     "InstanceTooLarge",
     "MUTATIONS",
     "NetError",
     "PirPlan",
-    "PrimeModulus",
-    "QueryCell",
     "RateTriple",
     "RegionVerdict",
     "RetrievalSeeds",
@@ -96,7 +88,6 @@ __all__ = [
     "SeededStream",
     "SpirRequest",
     "SymbolRequest",
-    "TapeStream",
     "TimeSharePlan",
     "Transcript",
     "WireError",
@@ -127,5 +118,4 @@ __all__ = [
     "time_share_plan",
     "user_privacy_audit",
     "validate_pir_plan",
-    "validate_query_cell",
 ]

@@ -48,7 +48,15 @@ from .scheme import (
     variant_count,
     variant_mappings,
 )
-from .sim import DecodeError, RetrievalSeeds, decode_plan, run_retrieval
+from .sim import (
+    DecodeError,
+    RetrievalSeeds,
+    decode_plan,
+    message_column,
+    pool_column,
+    request_columns,
+    run_retrieval,
+)
 from .fields import Seed
 from .wire import encode_query_payload
 
@@ -86,12 +94,6 @@ class Distribution:
             raise ValueError("distribution has a non-positive mass")
         if sum(self.mass.values()) != 1:
             raise ValueError("distribution masses must sum to exactly 1")
-
-    def support(self) -> list:
-        return sorted(self.mass)
-
-    def p(self, outcome) -> Fraction:
-        return self.mass.get(outcome, Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +153,12 @@ def _seed1_tables(params: SchemeParams, desired: int) -> list[tuple[int, QueryTa
         return _SEED1_CACHE[key]
     counts: dict[QueryTable, int] = {}
     perms_per_msg = list(itertools.permutations(range(params.L)))
+    vmaps = variant_mappings(params, 1)
     for perms in itertools.product(perms_per_msg, repeat=params.K):
-        cell = assign_common_randomness(plan_with_perms(params, desired, perms), params)
-        for vmap in variant_mappings(params, cell.seed):
-            table = permute_nonseed(cell, vmap).requests_for(desired)
-            counts[table] = counts.get(table, 0) + 1
+        table = assign_common_randomness(plan_with_perms(params, desired, perms), params)
+        for vmap in vmaps:
+            variant = permute_nonseed(table, 1, vmap)
+            counts[variant] = counts.get(variant, 0) + 1
     out = sorted(counts.items(), key=lambda kv: repr(kv[0]))
     result = [(w, t) for t, w in out]
     _SEED1_CACHE[key] = result
@@ -312,7 +315,7 @@ def user_privacy_audit(
         name,
         True,
         "per-database query distributions are identical across desired indices",
-        details={"tables": sum(len(tables_for_seed(params, 1, u, mutation)) for u in range(1, params.rs_size + 1))},
+        details={"tables": _table_count(params, mutation)},
     )
 
 
@@ -342,33 +345,23 @@ def _unit(params: SchemeParams, column: int) -> list[int]:
     return row
 
 
-def _message_column(params: SchemeParams, message: int, symbol: int) -> int:
-    return (message - 1) * params.L + symbol - 1
-
-
 def _message_rows(params: SchemeParams, message: int) -> list[list[int]]:
-    return [_unit(params, _message_column(params, message, s)) for s in range(1, params.L + 1)]
-
-
-def _pool_column(params: SchemeParams, index: int) -> int:
-    return params.K * params.L + index - 1
+    return [_unit(params, message_column(params, message, s)) for s in range(1, params.L + 1)]
 
 
 def _pool_row(params: SchemeParams, index: int) -> list[int]:
-    return _unit(params, _pool_column(params, index))
+    return _unit(params, pool_column(params, index))
 
 
 def answer_rows(params: SchemeParams, table: QueryTable) -> list[list[int]]:
-    """Each answer as a 0/1 row over (W_1[1..L], ..., W_K[1..L], S_1..S_rs),
-    database by database."""
+    """Each answer as a 0/1 row over X, database by database: ones at the
+    columns sim.answer_query sums."""
     rows = []
     for db_reqs in table:
         for sr in db_reqs:
             row = [0] * (params.K * params.L + params.rs_size)
-            for m, s in sr.terms:
-                row[_message_column(params, m, s)] = 1
-            if sr.cr is not None:
-                row[_pool_column(params, sr.cr)] = 1
+            for c in request_columns(params, sr):
+                row[c] = 1
             rows.append(row)
     return rows
 
@@ -387,7 +380,7 @@ def misdecoded_symbols(
     wrong = []
     for sym, source, companion in decode_plan(params, desired, table, seed):
         sub = _pool_row(params, seed) if companion is None else rows[companion]
-        want = _unit(params, _message_column(params, desired, sym))
+        want = _unit(params, message_column(params, desired, sym))
         if any((a - b - t) % params.q for a, b, t in zip(rows[source], sub, want)):
             wrong.append(sym)
     return wrong
@@ -421,8 +414,20 @@ def _weighted_tables(params: SchemeParams, desired: int, mutation: Mutation | No
             yield u, w, table
 
 
-def _passed(name: str, value: str, params: SchemeParams, tables: int) -> AuditReport:
+def _table_count(params: SchemeParams, mutation: Mutation | None) -> int:
+    """Distinct query tables over every desired index and user index."""
+    return sum(
+        len(tables_for_seed(params, desired, u, mutation))
+        for desired in range(1, params.K + 1)
+        for u in range(1, params.rs_size + 1)
+    )
+
+
+def _passed(
+    name: str, value: str, params: SchemeParams, mutation: Mutation | None
+) -> AuditReport:
     outcomes = joint_space_outcomes(params)
+    tables = _table_count(params, mutation)
     return AuditReport(
         name,
         True,
@@ -439,10 +444,8 @@ def reliability_audit(
     """Decode must return the stored desired message on every joint outcome."""
     _check_bound(table_space_outcomes(params), bound)
     name = "reliability"
-    tables = 0
     for desired in range(1, params.K + 1):
         for u, _, table in _weighted_tables(params, desired, mutation):
-            tables += 1
             try:
                 wrong = misdecoded_symbols(params, desired, u, table)
             except DecodeError as e:
@@ -454,7 +457,7 @@ def reliability_audit(
             return AuditReport(
                 name, False, value, witness=f"user S{u}, query {_render_table(table, params.L)}"
             )
-    return _passed(name, "decode exact", params, tables)
+    return _passed(name, "decode exact", params, mutation)
 
 
 def _leak_audit(
@@ -466,12 +469,10 @@ def _leak_audit(
 ) -> AuditReport:
     _check_bound(table_space_outcomes(params), bound)
     weight_total = coin_count(params) * params.rs_size
-    tables = 0
     for desired in range(1, params.K + 1):
         total = 0
         witness = None
         for u, w, table in _weighted_tables(params, desired, mutation):
-            tables += 1
             units = leak(params, desired, u, table)
             if units and witness is None:
                 witness = (
@@ -488,7 +489,7 @@ def _leak_audit(
                 witness=witness,
                 details={"leak": str(info)},
             )
-    return _passed(name, "I = 0 (exact factorization)", params, tables)
+    return _passed(name, "I = 0 (exact factorization)", params, mutation)
 
 
 def database_privacy_audit(
@@ -543,6 +544,8 @@ def statistical_user_privacy(
     statistic stays within five standard deviations of its mean for every
     database and desired pair.
     """
+    if samples < 1:
+        raise ValueError("statistical mode needs at least one sample per desired index")
     seed = seed or Seed.from_text("statistical-user-privacy")
     counts: list[list[dict[bytes, int]]] = []
     for k in range(1, params.K + 1):

@@ -129,6 +129,12 @@ def _check_desired(parser, params: SchemeParams, desired: int) -> None:
         parser.error(f"--desired must be in [1, {params.K}]")
 
 
+def _usage_error(message: str) -> int:
+    """One line on stderr and exit code 2, for usage errors found after parsing."""
+    print(message, file=sys.stderr)
+    return 2
+
+
 def cmd_table(parser, args) -> int:
     params = _params(parser, args)
     _check_desired(parser, params, args.desired)
@@ -180,8 +186,7 @@ def cmd_retrieve(parser, args) -> int:
             print(f"retrieval failed: {e}", file=sys.stderr)
             return 1
         except SchemeError as e:
-            print(f"cannot inject {args.inject}: {e}", file=sys.stderr)
-            return 2
+            return _usage_error(f"cannot inject {args.inject}: {e}")
     if args.format == "json":
         print(transcript.to_json(indent=2))
     else:
@@ -194,17 +199,19 @@ def cmd_retrieve(parser, args) -> int:
 def cmd_audit(parser, args) -> int:
     params = _params(parser, args)
     if args.statistical:
+        if args.inject:
+            return _usage_error("--inject cannot be combined with --statistical")
+        if args.samples < 1:
+            return _usage_error("--samples must be at least 1")
         report = statistical_user_privacy(params, samples=args.samples)
         print(report.line())
         return 0 if report.passed else 1
     try:
         reports = run_all_audits(params, args.inject, args.bound)
     except InstanceTooLarge as e:
-        print(f"refusing to enumerate: {e}", file=sys.stderr)
-        return 2
+        return _usage_error(f"refusing to enumerate: {e}")
     except SchemeError as e:
-        print(f"cannot inject {args.inject}: {e}", file=sys.stderr)
-        return 2
+        return _usage_error(f"cannot inject {args.inject}: {e}")
     for report in reports:
         print(report.line())
     return 0 if all(r.passed for r in reports) else 1
@@ -226,6 +233,8 @@ def cmd_region(parser, args) -> int:
     if n < 1 or k < 2:
         parser.error("need --n >= 1 and --k >= 2")
     if args.format == "csv":
+        if args.steps < 1:
+            parser.error("--steps must be at least 1")
         print("rho_u,d_min,rho_s_min")
         for ru, d, rs in boundary_rows(n, k, args.steps):
             print(f"{ru},{d},{rs}")
@@ -234,44 +243,42 @@ def cmd_region(parser, args) -> int:
     corner = corner_point(n, k)
     base = baselines(n, k)
     scheme_rates = measured_rates(SchemeParams.create(n, k))
-    out: dict = {
-        "n_db": n,
-        "n_msg": k,
-        "corner": corner.as_strings(),
-        "scheme": scheme_rates.as_strings(),
-        "baselines": base.to_dict(),
-    }
-    if n >= 2:
-        out["classical"] = classical_point(n, k).as_strings()
-    failed = False
+    classical = classical_point(n, k) if n >= 2 else None
+    verdict = plan = None
     if args.target:
-        target = _parse_triple(parser, args.target)
-        verdict = check_region(n, k, target)
-        out["target"] = verdict.to_dict()
-        failed = not verdict.inside
+        verdict = check_region(n, k, _parse_triple(parser, args.target))
         if n >= 2:
-            plan = time_share_plan(n, k, target)
-            out["time_share"] = None if plan is None else plan.to_dict()
+            plan = time_share_plan(n, k, verdict.point)
 
     if args.format == "json":
+        out: dict = {
+            "n_db": n,
+            "n_msg": k,
+            "corner": corner.as_strings(),
+            "scheme": scheme_rates.as_strings(),
+            "baselines": base.to_dict(),
+        }
+        if classical is not None:
+            out["classical"] = classical.as_strings()
+        if verdict is not None:
+            out["target"] = verdict.to_dict()
+            if n >= 2:
+                out["time_share"] = None if plan is None else plan.to_dict()
         print(json.dumps(out, indent=2))
     else:
         print(f"databases: {n}  messages: {k}")
         print(f"corner point        d={corner.d}  rho_s={corner.rho_s}  rho_u={corner.rho_u}")
         print(f"scheme as built     d={scheme_rates.d}  rho_s={scheme_rates.rho_s}  rho_u={scheme_rates.rho_u}")
-        if n >= 2:
-            cp = classical_point(n, k)
-            print(f"classical point     d={cp.d}  rho_s={cp.rho_s}  rho_u={cp.rho_u}")
+        if classical is not None:
+            print(f"classical point     d={classical.d}  rho_s={classical.rho_s}  rho_u={classical.rho_u}")
         print(
             f"capacities          plain={base.c_pir}  symmetric={base.c_spir}"
         )
-        if args.target:
-            verdict = check_region(n, k, _parse_triple(parser, args.target))
+        if verdict is not None:
             print(f"target {args.target}: {'inside' if verdict.inside else 'outside'}")
             for c in verdict.checks:
                 print(f"  {c.line()}")
             if n >= 2:
-                plan = time_share_plan(n, k, verdict.point)
                 if plan is None:
                     print("  no time-share decomposition (outside region)")
                 else:
@@ -280,7 +287,7 @@ def cmd_region(parser, args) -> int:
                         f"padding d={plan.padding.d} rho_s={plan.padding.rho_s} "
                         f"rho_u={plan.padding.rho_u}"
                     )
-    return 1 if failed else 0
+    return 0 if verdict is None or verdict.inside else 1
 
 
 def cmd_provision(parser, args) -> int:
@@ -301,7 +308,7 @@ def cmd_provision(parser, args) -> int:
 def cmd_serve(parser, args) -> int:
     try:
         state = load_database_state(args.state)
-    except (OSError, ValueError) as e:
+    except (NetError, OSError, ValueError) as e:
         print(f"cannot load state: {e}", file=sys.stderr)
         return 1
     if not 1 <= args.db_index <= state.params.N:

@@ -1,21 +1,15 @@
-"""Prime-field arithmetic, exact rationals, and replayable randomness.
+"""Seeds, replayable draw streams, uniform permutations, and primality.
 
-Every symbol handled by the retrieval protocol lives in a prime field F_q,
-every probability computed by the auditors is an exact rational, and every
-random draw flows through a seedable stream so that a run can be replayed
-bit for bit from its seeds.
+Symbols are plain ints in [0, q) for a prime q, and every random draw flows
+through a seedable stream so that a run can be replayed bit for bit from its
+seeds.
 """
 from __future__ import annotations
 
 import hashlib
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Protocol
-
-# Exact rational arithmetic: stdlib fractions already guarantees lowest
-# terms and exact +,*,compare, which is all the audits need.
-Rational = Fraction
+from typing import Protocol
 
 # A permutation of range(n): position i maps to perm[i].
 Permutation = tuple[int, ...]
@@ -43,71 +37,6 @@ def is_prime(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class PrimeModulus:
-    """A validated prime modulus q defining the field F_q."""
-
-    q: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.q):
-            raise ValueError(f"modulus {self.q} is not prime")
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.q, self)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for v in range(self.q):
-            yield FieldElement(v, self)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of F_q in canonical representation 0 <= value < q."""
-
-    value: int
-    modulus: PrimeModulus
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.modulus.q:
-            raise ValueError(f"value {self.value} outside [0, {self.modulus.q})")
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"modulus mismatch: {self.modulus.q} vs {other.modulus.q}"
-            )
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement((self.value + other.value) % self.modulus.q, self.modulus)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement((self.value - other.value) % self.modulus.q, self.modulus)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement((self.value * other.value) % self.modulus.q, self.modulus)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement((-self.value) % self.modulus.q, self.modulus)
-
-    def __int__(self) -> int:
-        return self.value
-
-
-def ff_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def ff_neg(a: FieldElement) -> FieldElement:
-    return -a
-
-
-@dataclass(frozen=True)
 class Seed:
     """Fixed-length opaque seed; equal seeds give identical draw streams."""
 
@@ -116,10 +45,6 @@ class Seed:
     def __post_init__(self) -> None:
         if len(self.data) != SEED_BYTES:
             raise ValueError(f"seed must be {SEED_BYTES} octets, got {len(self.data)}")
-
-    @classmethod
-    def from_int(cls, n: int) -> "Seed":
-        return cls(n.to_bytes(SEED_BYTES, "big", signed=False))
 
     @classmethod
     def from_text(cls, text: str) -> "Seed":
@@ -150,39 +75,6 @@ class SeededStream:
         if n < 1:
             raise ValueError("randrange needs n >= 1")
         return self._rng.randrange(n)
-
-
-class TapeExhausted(Exception):
-    pass
-
-
-class TapeStream:
-    """Replays a fixed tape of draws.
-
-    Used to enumerate every branch of a randomized procedure: feeding all
-    tapes in the product of the draw ranges visits each outcome exactly once.
-    """
-
-    def __init__(self, draws: tuple[int, ...] | list[int]):
-        self._draws = list(draws)
-        self._pos = 0
-
-    def randrange(self, n: int) -> int:
-        if self._pos >= len(self._draws):
-            raise TapeExhausted(f"tape exhausted after {self._pos} draws")
-        d = self._draws[self._pos]
-        if not 0 <= d < n:
-            raise ValueError(f"tape draw {d} outside range({n})")
-        self._pos += 1
-        return d
-
-    def exhausted(self) -> bool:
-        return self._pos == len(self._draws)
-
-
-def sample_uniform(modulus: PrimeModulus, stream: DrawStream) -> FieldElement:
-    """One uniform field element, consuming exactly one draw."""
-    return FieldElement(stream.randrange(modulus.q), modulus)
 
 
 def sample_permutation(n: int, stream: DrawStream) -> Permutation:

@@ -7,8 +7,8 @@ the client queries all N databases concurrently and decodes locally. State
 files are meant for a single retrieval: reusing a pool across retrievals is
 unsupported and weakens the masking guarantees.
 
-State file layout: one JSON header line, newline, then all symbols as
-little-endian u32 (messages row by row, then the pool).
+State file layout: one JSON header line, newline, then X, the database
+state, as little-endian u32: messages row by row, then the pool.
 """
 from __future__ import annotations
 
@@ -19,15 +19,14 @@ import socketserver
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 from .fields import Seed, SeededStream
 from .plan import SchemeParams
 from .scheme import select_query
 from .sim import (
-    MessageStore,
-    ServerRandomness,
+    DatabaseState,
+    SimError,
     Transcript,
     UserRandomness,
     answer_query,
@@ -54,26 +53,20 @@ class NetError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class DatabaseState:
-    params: SchemeParams
-    store: MessageStore
-    randomness: ServerRandomness
-
-
-def _params_doc(params: SchemeParams) -> dict:
-    return {
-        "N": params.N,
-        "K": params.K,
-        "q": params.q,
-        "L": params.L,
-        "rs_size": params.rs_size,
-        "ru_size": params.ru_size,
-    }
+def _field(doc, key: str, kind: type = int):
+    """doc[key] if doc is a JSON object holding a value of that type there."""
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if type(value) is not kind:
+        raise NetError(f"field {key!r} missing or not of type {kind.__name__}")
+    return value
 
 
 def _params_from_doc(doc: dict) -> SchemeParams:
-    return SchemeParams.create(int(doc["N"]), int(doc["K"]), int(doc["q"]))
+    params = _field(doc, "params", dict)
+    try:
+        return SchemeParams.create(_field(params, "N"), _field(params, "K"), _field(params, "q"))
+    except ValueError as e:
+        raise NetError(f"bad params: {e}") from None
 
 
 def provision(
@@ -90,17 +83,12 @@ def provision(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    store, randomness, user = deal(params, msg_seed, pool_seed, user_seed)
-
-    symbols: list[int] = []
-    for msg in store.messages:
-        symbols.extend(msg)
-    symbols.extend(randomness.pool)
-    body = struct.pack(f"<{len(symbols)}I", *symbols)
+    state, user = deal(params, msg_seed, pool_seed, user_seed)
+    body = struct.pack(f"<{len(state.x)}I", *state.x)
     header = {
         "kind": "database-state",
-        "params": _params_doc(params),
-        "symbol_count": len(symbols),
+        "params": params.to_dict(),
+        "symbol_count": len(state.x),
         "seed_digests": {
             "messages": hashlib.sha256(msg_seed.data).hexdigest(),
             "pool": hashlib.sha256(pool_seed.data).hexdigest(),
@@ -115,7 +103,7 @@ def provision(
     user_path = out / "user.json"
     user_doc = {
         "kind": "user-randomness",
-        "params": _params_doc(params),
+        "params": params.to_dict(),
         "index": user.index,
         "value": user.value,
     }
@@ -132,32 +120,28 @@ def load_database_state(path: str | Path) -> DatabaseState:
         header = json.loads(raw[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise NetError(f"unreadable state header: {e}") from None
-    if header.get("kind") != "database-state":
+    if _field(header, "kind", str) != "database-state":
         raise NetError("not a database state file")
-    params = _params_from_doc(header["params"])
+    params = _params_from_doc(header)
     body = raw[nl + 1 :]
-    count = header["symbol_count"]
-    expected = params.K * params.L + params.rs_size
-    if count != expected or len(body) != 4 * count:
+    count = _field(header, "symbol_count")
+    if count != params.K * params.L + params.rs_size or len(body) != 4 * count:
         raise NetError("state file symbol count mismatch")
-    values = struct.unpack(f"<{count}I", body)
-    messages = tuple(
-        values[k * params.L : (k + 1) * params.L] for k in range(params.K)
-    )
-    pool = values[params.K * params.L :]
-    return DatabaseState(
-        params=params,
-        store=MessageStore(params, messages),
-        randomness=ServerRandomness(params, pool),
-    )
+    x = struct.unpack(f"<{count}I", body)
+    if any(v >= params.q for v in x):
+        raise NetError(f"state file holds a symbol outside [0, {params.q})")
+    return DatabaseState(params, x)
 
 
 def load_user_file(path: str | Path) -> tuple[SchemeParams, UserRandomness]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("kind") != "user-randomness":
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise NetError(f"unreadable user file: {e}") from None
+    if _field(doc, "kind", str) != "user-randomness":
         raise NetError("not a user randomness file")
-    return _params_from_doc(doc["params"]), UserRandomness(
-        index=int(doc["index"]), value=int(doc["value"])
+    return _params_from_doc(doc), UserRandomness(
+        index=_field(doc, "index"), value=_field(doc, "value")
     )
 
 
@@ -221,15 +205,10 @@ class DatabaseServer(socketserver.ThreadingTCPServer):
                     f"parameter mismatch: client {echo}, server {ParamsEcho.of(params)}"
                 ),
             )
-        for sr in requests:
-            if sr.cr is not None and not 1 <= sr.cr <= params.rs_size:
-                return Frame(
-                    FrameType.ERROR,
-                    encode_error_payload(
-                        f"mask index {sr.cr} outside [1, {params.rs_size}]"
-                    ),
-                )
-        values = answer_query(self.db_index, requests, self.state.store, self.state.randomness)
+        try:
+            values = answer_query(requests, self.state)
+        except SimError as e:
+            return Frame(FrameType.ERROR, encode_error_payload(str(e)))
         return Frame(FrameType.ANSWER, encode_answer_payload(values))
 
     def start(self) -> "DatabaseServer":

@@ -10,8 +10,7 @@ become recoverable by subtraction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import asdict, dataclass
 
 from .fields import DrawStream, Permutation, identity_permutation, is_prime, sample_permutation
 
@@ -74,6 +73,11 @@ class SchemeParams:
             ru_size=1,
         )
 
+    def to_dict(self) -> dict:
+        """The fields in declaration order: the params object of every
+        transcript, state file, user file and table document."""
+        return asdict(self)
+
 
 @dataclass(frozen=True, order=True)
 class SymbolRequest:
@@ -112,17 +116,12 @@ class SymbolRequest:
 
 @dataclass(frozen=True)
 class PirPlan:
-    """Per-database request lists for one desired message.
-
-    per_db holds each database's requests in canonical order; perms records
-    the per-message symbol orderings used for allocation (None when the plan
-    was reconstructed from received requests).
-    """
+    """Per-database request lists for one desired message, each in
+    canonical order."""
 
     params: SchemeParams
     desired: int
     per_db: tuple[tuple[SymbolRequest, ...], ...]
-    perms: tuple[Permutation, ...] | None = None
 
     def all_requests(self) -> list[tuple[int, SymbolRequest]]:
         return [(db + 1, r) for db, reqs in enumerate(self.per_db) for r in reqs]
@@ -202,24 +201,11 @@ def plan_with_perms(
         tuple(sorted(reqs, key=lambda r: request_sort_key(r.terms)))
         for reqs in per_db
     )
-    return PirPlan(params=params, desired=desired, per_db=ordered, perms=perms)
+    return PirPlan(params=params, desired=desired, per_db=ordered)
 
 
 def _cyclic_others(db: int, n_db: int) -> list[int]:
     return [((db - 1 + k) % n_db) + 1 for k in range(1, n_db)]
-
-
-def plan_from_requests(
-    params: SchemeParams,
-    desired: int,
-    per_db: tuple[tuple[SymbolRequest, ...], ...],
-) -> PirPlan:
-    """Rebuild a plan view from received request structure (no orderings)."""
-    ordered = tuple(
-        tuple(sorted(reqs, key=lambda r: request_sort_key(r.terms)))
-        for reqs in per_db
-    )
-    return PirPlan(params=params, desired=desired, per_db=ordered, perms=None)
 
 
 def undesired_only_slots(plan: PirPlan) -> list[tuple[int, SymbolRequest]]:
@@ -317,10 +303,6 @@ def validate_pir_plan(plan: PirPlan, params: SchemeParams | None = None) -> list
     return problems
 
 
-def download_rate(params: SchemeParams) -> Fraction:
-    return Fraction(total_download(params.N, params.K), params.L)
-
-
 def format_terms(terms: tuple[tuple[int, int], ...], length: int | None = None) -> str:
     parts = []
     for m, s in terms:
@@ -329,27 +311,6 @@ def format_terms(terms: tuple[tuple[int, int], ...], length: int | None = None) 
         else:
             parts.append(f"W{m}[{s}]")
     return "+".join(parts)
-
-
-def render_plan(plan: PirPlan) -> str:
-    """Text table of the plan: rows are requests, columns are databases."""
-    length = plan.params.L
-    cols = [
-        [format_terms(r.terms, length) for r in reqs] for reqs in plan.per_db
-    ]
-    depth = max(len(c) for c in cols)
-    widths = [max([len(f"DB{i+1}")] + [len(x) for x in col]) for i, col in enumerate(cols)]
-    lines = [
-        f"desired W{plan.desired}  (N={plan.params.N}, K={plan.params.K}, L={length})"
-    ]
-    lines.append("  ".join(f"DB{i+1}".ljust(w) for i, w in enumerate(widths)))
-    for row in range(depth):
-        cells = [
-            (col[row] if row < len(col) else "").ljust(w)
-            for col, w in zip(cols, widths)
-        ]
-        lines.append("  ".join(cells).rstrip())
-    return "\n".join(lines)
 
 
 def identity_plan(params: SchemeParams, desired: int) -> PirPlan:

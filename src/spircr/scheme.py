@@ -11,19 +11,21 @@ retrieval plan whose requests each carry one pool index:
     its companion undesired-only sum at another database, so subtracting the
     companion answer cancels mask and side information together.
 
-Cycling the seed through the whole pool and permuting the non-seed indices
-make the per-database query distribution independent of which message is
+A query is a QueryTable: one tuple of masked requests per database. The
+canonical table carries seed index 1; cycling the seed through the whole
+pool (shift_cell) and permuting the non-seed indices (permute_nonseed) make
+the per-database query distribution independent of which message is
 desired.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal
+from typing import Literal
 
-from .fields import DrawStream, Permutation, sample_permutation
+from .fields import DrawStream, sample_permutation
 from .plan import (
     PirPlan,
     SchemeParams,
@@ -63,38 +65,13 @@ class SpirRequest:
     def size(self) -> int:
         return self.base.size
 
+    def to_dict(self) -> dict:
+        """The request object of every transcript and table document."""
+        return {"terms": [[m, s] for m, s in self.terms], "cr": self.cr}
+
 
 DbRequests = tuple[SpirRequest, ...]
 QueryTable = tuple[DbRequests, ...]
-
-
-@dataclass(frozen=True)
-class QueryCell:
-    """One masked query table per desired choice, all built on one seed."""
-
-    params: SchemeParams
-    seed: int
-    per_choice: dict[int, QueryTable]
-    variant: Permutation  # non-seed relabeling applied, over cyclic positions
-
-    def requests_for(self, desired: int) -> QueryTable:
-        if desired not in self.per_choice:
-            raise SchemeError(f"cell has no query for desired W{desired}")
-        return self.per_choice[desired]
-
-
-@dataclass(frozen=True)
-class QueryCellFamily:
-    """The rs_size cells obtained by cycling a cell's indices."""
-
-    params: SchemeParams
-    cells: tuple[QueryCell, ...]
-
-    def cell_with_seed(self, seed: int) -> QueryCell:
-        for c in self.cells:
-            if c.seed == seed:
-                return c
-        raise SchemeError(f"no cell with seed {seed}")
 
 
 @dataclass(frozen=True)
@@ -115,8 +92,9 @@ def nonseed_cycle(params: SchemeParams, seed: int) -> list[int]:
     return [((seed - 1 + i) % rs) + 1 for i in range(1, rs)]
 
 
-def assign_common_randomness(plan: PirPlan, params: SchemeParams | None = None) -> QueryCell:
-    """Attach pool indices to a plan, producing the canonical seed-1 cell."""
+def assign_common_randomness(plan: PirPlan, params: SchemeParams | None = None) -> QueryTable:
+    """Attach pool indices to a plan, producing the canonical table whose
+    seed is pool index 1."""
     params = params or plan.params
     seed = 1
     label: dict[tuple[tuple[int, int], ...], int] = {}
@@ -149,26 +127,7 @@ def assign_common_randomness(plan: PirPlan, params: SchemeParams | None = None) 
                 out.append(SpirRequest(r, idx))
         out.sort(key=lambda sr: request_sort_key(sr.terms))
         per_db.append(out)
-
-    table: QueryTable = tuple(tuple(x) for x in per_db)
-    return QueryCell(
-        params=params,
-        seed=seed,
-        per_choice={plan.desired: table},
-        variant=tuple(range(params.rs_size - 1)),
-    )
-
-
-def merge_cells(cells: Iterable[QueryCell]) -> QueryCell:
-    """Combine same-seed cells for different desired choices into one."""
-    cells = list(cells)
-    first = cells[0]
-    merged: dict[int, QueryTable] = {}
-    for c in cells:
-        if c.seed != first.seed or c.params != first.params:
-            raise SchemeError("cells disagree on seed or parameters")
-        merged.update(c.per_choice)
-    return replace(first, per_choice=merged)
+    return tuple(tuple(x) for x in per_db)
 
 
 def relabel_table(table: QueryTable, mapping: dict[int, int]) -> QueryTable:
@@ -184,40 +143,26 @@ def shift_mapping(rs_size: int, delta: int) -> dict[int, int]:
     return {i: ((i - 1 + delta) % rs_size) + 1 for i in range(1, rs_size + 1)}
 
 
-def _relabel(cell: QueryCell, mapping: dict[int, int], new_seed: int, variant: Permutation) -> QueryCell:
-    per_choice = {k: relabel_table(table, mapping) for k, table in cell.per_choice.items()}
-    return QueryCell(params=cell.params, seed=new_seed, per_choice=per_choice, variant=variant)
+def _pool_size(table: QueryTable) -> int:
+    # every database masks exactly one request with each pool index
+    return len(table[0])
 
 
-def permute_nonseed(cell: QueryCell, mapping: dict[int, int]) -> QueryCell:
+def permute_nonseed(table: QueryTable, seed: int, mapping: dict[int, int]) -> QueryTable:
     """Relabel non-seed pool indices by a bijection; the seed must stay put."""
-    rs = cell.params.rs_size
-    nonseed = set(range(1, rs + 1)) - {cell.seed}
+    nonseed = set(range(1, _pool_size(table) + 1)) - {seed}
     if set(mapping) != nonseed or set(mapping.values()) != nonseed:
         raise SchemeError("mapping must be a bijection on the non-seed indices")
-    full = dict(mapping)
-    full[cell.seed] = cell.seed
-    cycle = nonseed_cycle(cell.params, cell.seed)
-    pos = {idx: i for i, idx in enumerate(cycle)}
-    variant = tuple(pos[full[cycle[cell.variant[i]]]] for i in range(rs - 1))
-    return _relabel(cell, full, cell.seed, variant)
+    return relabel_table(table, {**mapping, seed: seed})
 
 
-def shift_cell(cell: QueryCell, delta: int) -> QueryCell:
-    """Add delta (mod pool size) to every index; seed moves with the rest."""
-    mapping = shift_mapping(cell.params.rs_size, delta)
-    return _relabel(cell, mapping, mapping[cell.seed], cell.variant)
-
-
-def cycle_cells(cell: QueryCell) -> QueryCellFamily:
-    """All rs_size cells reachable by cycling the given cell's indices."""
-    rs = cell.params.rs_size
-    cells = tuple(shift_cell(cell, d) for d in range(rs))
-    return QueryCellFamily(params=cell.params, cells=cells)
+def shift_cell(table: QueryTable, delta: int) -> QueryTable:
+    """Add delta (mod pool size) to every index; the seed moves with the rest."""
+    return relabel_table(table, shift_mapping(_pool_size(table), delta))
 
 
 def variant_mappings(params: SchemeParams, seed: int) -> list[dict[int, int]]:
-    """Admissible non-seed relabelings for one cell.
+    """Admissible non-seed relabelings for a table with this seed.
 
     A single database replicated alone (N = 1) needs none: cycling already
     realizes every matching the scheme is allowed to emit, and adding more
@@ -276,16 +221,15 @@ def select_query(
     """Build the query a user holding pool index user_cr_index transmits.
 
     Fresh symbol orderings and a fresh non-seed relabeling are drawn from
-    rng; the cell is then cycled so its seed lands on the user's index.
+    rng; the table is then cycled so its seed lands on the user's index.
     """
     if not 1 <= user_cr_index <= params.rs_size:
         raise ValueError(f"user index {user_cr_index} outside [1, {params.rs_size}]")
     plan = build_pir_plan(params, desired, rng)
-    cell = assign_common_randomness(plan, params)
+    table = assign_common_randomness(plan, params)
     if params.N >= 2:
-        cell = permute_nonseed(cell, sample_variant(params, cell.seed, rng))
-    cell = shift_cell(cell, user_cr_index - cell.seed)
-    table = cell.requests_for(desired)
+        table = permute_nonseed(table, 1, sample_variant(params, 1, rng))
+    table = shift_cell(table, user_cr_index - 1)
     if mutation is not None:
         table = apply_mutation(table, desired, user_cr_index, mutation)
     return table
@@ -298,42 +242,6 @@ def measured_rates(params: SchemeParams) -> RateTriple:
         rho_s=Fraction(params.rs_size, params.L),
         rho_u=Fraction(1, params.L),
     )
-
-
-def validate_query_cell(cell: QueryCell) -> list[str]:
-    """Masking invariants for every desired choice present in the cell."""
-    problems: list[str] = []
-    rs = cell.params.rs_size
-    for desired, table in cell.per_choice.items():
-        by_terms: dict[tuple, tuple[int, int | None]] = {}
-        for db, db_reqs in enumerate(table, start=1):
-            seen = set()
-            for sr in db_reqs:
-                if sr.cr is not None:
-                    seen.add(sr.cr)
-                by_terms[sr.terms] = (db, sr.cr)
-            if seen != set(range(1, rs + 1)):
-                problems.append(
-                    f"desired W{desired} db{db}: pool coverage {sorted(seen)} != 1..{rs}"
-                )
-        for db, db_reqs in enumerate(table, start=1):
-            for sr in db_reqs:
-                msgs = sr.base.messages()
-                if sr.size == 1 and msgs[0] == desired and sr.cr != cell.seed:
-                    problems.append(
-                        f"desired W{desired} db{db}: desired 1-sum carries {sr.cr}, not seed {cell.seed}"
-                    )
-                if desired in msgs and sr.size >= 2:
-                    comp = by_terms.get(sr.base.without(desired).terms)
-                    if comp is None:
-                        problems.append(
-                            f"desired W{desired} db{db}: companion missing for {format_terms(sr.terms)}"
-                        )
-                    elif comp[0] == db or comp[1] != sr.cr:
-                        problems.append(
-                            f"desired W{desired} db{db}: companion mask mismatch for {format_terms(sr.terms)}"
-                        )
-    return problems
 
 
 def format_request(sr: SpirRequest, length: int) -> str:
@@ -357,64 +265,57 @@ def table_lines(table: QueryTable, length: int) -> list[str]:
     return [head] + rows
 
 
-def render_family_text(params: SchemeParams, families: dict[int, list[QueryCell]]) -> str:
-    """Text emitter for the full cell family, grouped by seed then variant.
+Family = dict[int, list[dict[int, QueryTable]]]
 
-    families maps each seed to its variant cells; each cell carries every
-    desired choice as built by merge_cells.
+
+def render_family_text(params: SchemeParams, families: Family) -> str:
+    """Text emitter for the full family, grouped by seed then variant.
+
+    families maps each seed to its variants; each variant maps every desired
+    index to its table.
     """
     lines = [f"N={params.N} K={params.K} q={params.q} L={params.L} pool=S1..S{params.rs_size}"]
     for seed in sorted(families):
-        for v, cell in enumerate(families[seed]):
+        for v, tables in enumerate(families[seed]):
             tag = f"seed S{seed}" + (f", variant {v + 1}" if len(families[seed]) > 1 else "")
             lines.append(f"-- {tag} --")
-            for desired in sorted(cell.per_choice):
+            for desired in sorted(tables):
                 lines.append(f"desired W{desired}:")
-                for ln in table_lines(cell.per_choice[desired], params.L):
+                for ln in table_lines(tables[desired], params.L):
                     lines.append(f"  {ln}")
     return "\n".join(lines)
 
 
-def family_json(params: SchemeParams, families: dict[int, list[QueryCell]]) -> dict:
-    def req_obj(sr: SpirRequest) -> dict:
-        return {
-            "terms": [[m, s] for m, s in sr.terms],
-            "cr": sr.cr,
-        }
-
+def family_json(params: SchemeParams, families: Family) -> dict:
     return {
-        "params": {"N": params.N, "K": params.K, "q": params.q, "L": params.L,
-                   "rs_size": params.rs_size, "ru_size": params.ru_size},
+        "params": params.to_dict(),
         "cells": [
             {
                 "seed": seed,
                 "variant": v + 1,
                 "choices": {
-                    str(desired): [
-                        [req_obj(sr) for sr in db_reqs]
-                        for db_reqs in cell.per_choice[desired]
-                    ]
-                    for desired in sorted(cell.per_choice)
+                    str(desired): [[sr.to_dict() for sr in db_reqs] for db_reqs in tables[desired]]
+                    for desired in sorted(tables)
                 },
             }
             for seed in sorted(families)
-            for v, cell in enumerate(families[seed])
+            for v, tables in enumerate(families[seed])
         ],
     }
 
 
-def canonical_family(params: SchemeParams) -> dict[int, list[QueryCell]]:
+def canonical_family(params: SchemeParams) -> Family:
     """Display family: identity orderings, every seed, every variant."""
-    base_cells = []
-    for desired in range(1, params.K + 1):
-        base_cells.append(assign_common_randomness(identity_plan(params, desired), params))
-    base = merge_cells(base_cells)
-    out: dict[int, list[QueryCell]] = {}
+    base = {
+        desired: assign_common_randomness(identity_plan(params, desired), params)
+        for desired in range(1, params.K + 1)
+    }
+    out: Family = {}
     for delta in range(params.rs_size):
-        shifted = shift_cell(base, delta)
-        cells = [
-            permute_nonseed(shifted, m) if params.N >= 2 else shifted
-            for m in variant_mappings(params, shifted.seed)
+        seed = delta + 1
+        shifted = {desired: shift_cell(table, delta) for desired, table in base.items()}
+        out[seed] = [
+            {desired: permute_nonseed(table, seed, m) for desired, table in shifted.items()}
+            for m in variant_mappings(params, seed)
         ]
-        out[shifted.seed] = cells
     return out

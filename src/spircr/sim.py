@@ -1,17 +1,17 @@
 """In-process protocol simulator: dealer, databases, user, transcript.
 
-A trusted dealer samples the message store, the shared randomness pool
+A trusted dealer samples the messages, the shared randomness pool
 (replicated at every database), and the user's single pool symbol. The user
-builds a query from its own seed, each database answers every request with
-term-sum plus mask, and the user decodes by subtracting either its own pool
-symbol or a companion answer. Everything is driven by explicit seeds so a
-retrieval replays exactly.
+builds a query from its own seed, each database answers every request by
+summing its state X (messages, then pool) at the request's columns, and the
+user decodes by subtracting either its own pool symbol or a companion
+answer. Everything is driven by explicit seeds so a retrieval replays
+exactly.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fields import Seed, SeededStream
 from .plan import SchemeParams
@@ -20,6 +20,7 @@ from .scheme import (
     QueryTable,
     RateTriple,
     SpirRequest,
+    measured_rates,
     select_query,
 )
 
@@ -32,28 +33,44 @@ class DecodeError(SimError):
     pass
 
 
+def message_column(params: SchemeParams, message: int, symbol: int) -> int:
+    return (message - 1) * params.L + symbol - 1
+
+
+def pool_column(params: SchemeParams, index: int) -> int:
+    return params.K * params.L + index - 1
+
+
+def request_columns(params: SchemeParams, sr: SpirRequest) -> list[int]:
+    """The columns of X that a request sums: its terms, then its mask.
+
+    X = (W_1[1..L], ..., W_K[1..L], S_1..S_rs) is what every database holds,
+    so an answer is the sum of X at these columns and, over F_q, a 0/1 row
+    with ones at them.
+    """
+    cols = []
+    for m, s in sr.terms:
+        if not (1 <= m <= params.K and 1 <= s <= params.L):
+            raise SimError(f"request term W{m}[{s}] out of range")
+        cols.append(message_column(params, m, s))
+    if sr.cr is not None:
+        if not 1 <= sr.cr <= params.rs_size:
+            raise SimError(f"mask index {sr.cr} outside [1, {params.rs_size}]")
+        cols.append(pool_column(params, sr.cr))
+    return cols
+
+
 @dataclass(frozen=True)
-class MessageStore:
-    """K messages of L symbols each, values in [0, q)."""
+class DatabaseState:
+    """X: the K messages of L symbols, then the pool S_1..S_rs that every
+    database holds, values in [0, q). A state file stores X in this order."""
 
     params: SchemeParams
-    messages: tuple[tuple[int, ...], ...]
+    x: tuple[int, ...]
 
-    def symbol(self, message: int, index: int) -> int:
-        return self.messages[message - 1][index - 1]
-
-
-@dataclass(frozen=True)
-class ServerRandomness:
-    """The pool S_1..S_rs replicated at every database."""
-
-    params: SchemeParams
-    pool: tuple[int, ...]
-
-    def value(self, index: int) -> int:
-        if not 1 <= index <= len(self.pool):
-            raise SimError(f"pool index {index} outside [1, {len(self.pool)}]")
-        return self.pool[index - 1]
+    def message(self, k: int) -> tuple[int, ...]:
+        start = message_column(self.params, k, 1)
+        return self.x[start : start + self.params.L]
 
 
 @dataclass(frozen=True)
@@ -83,43 +100,24 @@ class RetrievalSeeds:
 
 def deal(
     params: SchemeParams, msg_seed: Seed, pool_seed: Seed, user_seed: Seed
-) -> tuple[MessageStore, ServerRandomness, UserRandomness]:
+) -> tuple[DatabaseState, UserRandomness]:
     """Sample messages, pool, and the user's pool entry from seeds."""
     mrng = SeededStream(msg_seed)
-    messages = tuple(
-        tuple(mrng.randrange(params.q) for _ in range(params.L))
-        for _ in range(params.K)
-    )
+    messages = [mrng.randrange(params.q) for _ in range(params.K * params.L)]
     prng = SeededStream(pool_seed)
-    pool = tuple(prng.randrange(params.q) for _ in range(params.rs_size))
+    pool = [prng.randrange(params.q) for _ in range(params.rs_size)]
     urng = SeededStream(user_seed)
     index = urng.randrange(params.rs_size) + 1
     return (
-        MessageStore(params, messages),
-        ServerRandomness(params, pool),
+        DatabaseState(params, tuple(messages + pool)),
         UserRandomness(index=index, value=pool[index - 1]),
     )
 
 
-def answer_query(
-    db: int,
-    requests: tuple[SpirRequest, ...],
-    store: MessageStore,
-    randomness: ServerRandomness,
-) -> tuple[int, ...]:
-    """Evaluate each request: sum of its symbols plus its mask, mod q."""
-    q = store.params.q
-    out = []
-    for sr in requests:
-        total = 0
-        for m, s in sr.terms:
-            if not (1 <= m <= store.params.K and 1 <= s <= store.params.L):
-                raise SimError(f"db{db}: request term W{m}[{s}] out of range")
-            total += store.symbol(m, s)
-        if sr.cr is not None:
-            total += randomness.value(sr.cr)
-        out.append(total % q)
-    return tuple(out)
+def answer_query(requests: tuple[SpirRequest, ...], state: DatabaseState) -> tuple[int, ...]:
+    """Evaluate each request: the sum of X at its columns, mod q."""
+    params, symbol = state.params, state.x.__getitem__
+    return tuple([sum(map(symbol, request_columns(params, sr))) % params.q for sr in requests])
 
 
 DecodeStep = tuple[int, int, int | None]
@@ -210,29 +208,13 @@ class Transcript:
     rates: RateTriple
     seeds: dict[str, str]
 
-    def downloaded_symbols(self) -> int:
-        return sum(len(a) for a in self.answers)
-
     def core(self) -> dict:
         """Transport-independent content (everything but seed bookkeeping)."""
         return {
-            "params": {
-                "N": self.params.N,
-                "K": self.params.K,
-                "q": self.params.q,
-                "L": self.params.L,
-                "rs_size": self.params.rs_size,
-                "ru_size": self.params.ru_size,
-            },
+            "params": self.params.to_dict(),
             "desired": self.desired,
             "user": {"index": self.user.index, "value": self.user.value},
-            "query": [
-                [
-                    {"terms": [[m, s] for m, s in sr.terms], "cr": sr.cr}
-                    for sr in reqs
-                ]
-                for reqs in self.query
-            ],
+            "query": [[sr.to_dict() for sr in reqs] for reqs in self.query],
             "answers": [list(a) for a in self.answers],
             "decoded": list(self.decoded),
             "rates": self.rates.as_strings(),
@@ -252,13 +234,8 @@ def build_transcript(
     answers: tuple[tuple[int, ...], ...],
     seeds: dict[str, str],
 ) -> Transcript:
+    # decode checks one answer per request, so the download is the scheme's
     decoded = decode(params, desired, query, answers, user)
-    total = sum(len(a) for a in answers)
-    rates = RateTriple(
-        d=Fraction(total, params.L),
-        rho_s=Fraction(params.rs_size, params.L),
-        rho_u=Fraction(1, params.L),
-    )
     return Transcript(
         params=params,
         desired=desired,
@@ -266,7 +243,7 @@ def build_transcript(
         query=query,
         answers=answers,
         decoded=decoded,
-        rates=rates,
+        rates=measured_rates(params),
         seeds=seeds,
     )
 
@@ -282,12 +259,9 @@ def run_retrieval(
     Decoded output is checked against the dealt store, so a scheme or
     simulator regression cannot pass silently.
     """
-    store, randomness, user = deal(params, seeds.messages, seeds.pool, seeds.user)
+    state, user = deal(params, seeds.messages, seeds.pool, seeds.user)
     query = select_query(params, desired, user.index, SeededStream(seeds.query), mutation)
-    answers = tuple(
-        answer_query(db, reqs, store, randomness)
-        for db, reqs in enumerate(query, start=1)
-    )
+    answers = tuple(answer_query(reqs, state) for reqs in query)
     transcript = build_transcript(
         params,
         desired,
@@ -301,6 +275,6 @@ def run_retrieval(
             "query": seeds.query.hex(),
         },
     )
-    if transcript.decoded != store.messages[desired - 1]:
+    if transcript.decoded != state.message(desired):
         raise DecodeError("decoded message differs from the stored message")
     return transcript

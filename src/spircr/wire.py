@@ -189,10 +189,6 @@ def decode_error_payload(data: bytes) -> str:
         raise WireError("error payload is not valid UTF-8") from None
 
 
-def query_frame(params: SchemeParams, requests: tuple[SpirRequest, ...]) -> Frame:
-    return Frame(FrameType.QUERY, encode_query_payload(params, requests))
-
-
 def read_frame(sock: socket.socket) -> Frame | None:
     """Read one frame from a socket; None on clean EOF at a frame boundary."""
     head = _read_exact(sock, _HEADER.size, allow_eof=True)

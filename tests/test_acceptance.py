@@ -262,15 +262,15 @@ def test_message_permutation_variant_count(capsys):
     for desired in (1, 2):
         per_variant: dict[int, set] = {0: set(), 1: set()}
         for perms in itertools.product(perms_per_msg, repeat=params.K):
-            cell = assign_common_randomness(
+            table = assign_common_randomness(
                 plan_with_perms(params, desired, perms), params
             )
-            vmaps = variant_mappings(params, cell.seed)
+            vmaps = variant_mappings(params, 1)
             if len(vmaps) != 2:
                 problems.append(f"desired {desired}: expected 2 pool relabelings")
                 break
             for vi, vmap in enumerate(vmaps):
-                per_variant[vi].add(permute_nonseed(cell, vmap).requests_for(desired))
+                per_variant[vi].add(permute_nonseed(table, 1, vmap))
         for vi, tables in per_variant.items():
             if len(tables) != 288:
                 problems.append(

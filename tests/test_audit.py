@@ -22,14 +22,7 @@ from spircr.audit import (
 )
 from spircr.plan import SchemeParams
 from spircr.scheme import MUTATIONS, SchemeError
-from spircr.sim import (
-    DecodeError,
-    MessageStore,
-    ServerRandomness,
-    UserRandomness,
-    answer_query,
-    decode,
-)
+from spircr.sim import DatabaseState, DecodeError, UserRandomness, answer_query, decode
 
 
 def test_distribution_invariants():
@@ -101,6 +94,13 @@ def test_reliability_two_db():
     assert report.passed
     assert report.details["outcomes"] == 3 * 1152 * 2**11
     assert report.details["tables"] == 2 * 3 * 576
+
+
+@pytest.mark.parametrize("n,k,tables", [(1, 3, 9), (2, 2, 3456)])
+def test_audits_report_equal_coverage(n, k, tables):
+    # every audit walks every table of every desired index and user index
+    reports = run_all_audits(SchemeParams.create(n, k, 2))
+    assert [r.details["tables"] for r in reports] == [tables] * 4
 
 
 def test_user_privacy_catches_seed_reuse():
@@ -211,11 +211,8 @@ def _brute_force(params, desired, seed, table):
     for x in itertools.product(range(q), repeat=k * length + params.rs_size):
         messages = tuple(x[m * length:(m + 1) * length] for m in range(k))
         pool = x[k * length:]
-        store = MessageStore(params, messages)
-        randomness = ServerRandomness(params, pool)
-        answers = tuple(
-            answer_query(db, reqs, store, randomness) for db, reqs in enumerate(table, start=1)
-        )
+        state = DatabaseState(params, x)
+        answers = tuple(answer_query(reqs, state) for reqs in table)
         try:
             right = decode(params, desired, table, answers, UserRandomness(seed, pool[seed - 1]))
             right = right == messages[desired - 1]

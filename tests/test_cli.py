@@ -201,3 +201,52 @@ def test_package_import_does_not_load_numpy():
         check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("extra", [
+    ["--samples", "0"],
+    ["--samples", "-5"],
+    ["--inject", "unmask-one"],
+])
+def test_statistical_audit_rejects_no_evidence(capsys, extra):
+    # zero samples prove nothing, and the sampled mode cannot plant a fault
+    code, out, err = run(capsys, "audit", "--n", "1", "--k", "2", "--statistical", *extra)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_region_csv_zero_steps_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["region", "--n", "2", "--k", "2", "--format", "csv", "--steps", "0"])
+    assert exc.value.code == 2
+
+
+def _one_line_failure(capsys, argv, prefix):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(prefix)
+
+
+def test_serve_rejects_malformed_state(capsys, tmp_path):
+    garbage = tmp_path / "garbage.bin"
+    garbage.write_bytes(b"\x00\x01 not a state file")
+    _one_line_failure(capsys, ["serve", "--state", str(garbage), "--db-index", "1"],
+                      "cannot load state")
+    no_params = tmp_path / "no_params.bin"
+    no_params.write_bytes(b'{"kind": "database-state", "symbol_count": 0}\n')
+    _one_line_failure(capsys, ["serve", "--state", str(no_params), "--db-index", "1"],
+                      "cannot load state")
+
+
+def test_retrieve_rejects_user_file_without_index(capsys, tmp_path):
+    code, out, _ = run(capsys, "provision", "--n", "2", "--k", "2", "--out", str(tmp_path))
+    user_path = Path(out.splitlines()[1].split(":", 1)[1].strip())
+    doc = json.loads(user_path.read_text())
+    del doc["index"]
+    user_path.write_text(json.dumps(doc))
+    _one_line_failure(capsys, ["retrieve", "--n", "2", "--k", "2", "--desired", "1",
+                               "--endpoints", "127.0.0.1:1,127.0.0.1:1", "--user", str(user_path)],
+                      "retrieval failed")

@@ -61,11 +61,10 @@ def test_provision_files(tmp_path):
     assert doc["params"]["N"] == 2
 
     state = load_database_state(state_path)
-    store, randomness, user = deal(
+    dealt, user = deal(
         params, master.derive("messages"), master.derive("pool"), master.derive("user")
     )
-    assert state.store == store
-    assert state.randomness == randomness
+    assert state == dealt
 
     p2, loaded_user = load_user_file(user_path)
     assert p2 == params
@@ -86,7 +85,7 @@ def test_user_value_tracks_index(tmp_path):
     params, master, state_path, user_path = make_state(tmp_path, label="track")
     state = load_database_state(state_path)
     _, user = load_user_file(user_path)
-    assert user.value == state.randomness.pool[user.index - 1]
+    assert user.value == state.x[params.K * params.L + user.index - 1]
 
 
 def test_end_to_end_retrieval(served):
@@ -94,10 +93,10 @@ def test_end_to_end_retrieval(served):
     _, user = load_user_file(user_path)
     for desired in (1, 2):
         t = run_client_retrieval(addresses, params, desired, user, master.derive("query"))
-        store, _, _ = deal(
+        state, _ = deal(
             params, master.derive("messages"), master.derive("pool"), master.derive("user")
         )
-        assert t.decoded == store.messages[desired - 1]
+        assert t.decoded == state.message(desired)
 
 
 def test_networked_matches_in_process(served):
@@ -193,7 +192,7 @@ def test_server_down_raises_net_error(tmp_path):
 def test_concurrent_clients(served):
     params, master, user_path, addresses = served
     _, user = load_user_file(user_path)
-    store, _, _ = deal(
+    state, _ = deal(
         params, master.derive("messages"), master.derive("pool"), master.derive("user")
     )
     results = [None] * 8
@@ -201,10 +200,38 @@ def test_concurrent_clients(served):
         t = run_client_retrieval(
             addresses, params, (i % 2) + 1, user, master.derive(f"q{i}")
         )
-        results[i] = t.decoded == store.messages[i % 2]
+        results[i] = t.decoded == state.message(i % 2 + 1)
     threads = [threading.Thread(target=one, args=(i,)) for i in range(8)]
     for th in threads:
         th.start()
     for th in threads:
         th.join()
     assert all(results)
+
+
+@pytest.mark.parametrize("header,body", [
+    (b'[1, 2]', b""),
+    (b'{"kind": "database-state"}', b""),
+    (b'{"kind": "database-state", "params": {"N": "1", "K": 2, "q": 2}, "symbol_count": 4}', b"\0" * 16),
+    (b'{"kind": "database-state", "params": {"N": 1, "K": 2, "q": 4}, "symbol_count": 4}', b"\0" * 16),
+    (b'{"kind": "database-state", "params": {"N": 1, "K": 2, "q": 2}, "symbol_count": "4"}', b"\0" * 16),
+    (b'{"kind": "database-state", "params": {"N": 1, "K": 2, "q": 2}, "symbol_count": 4}', b"\2" + b"\0" * 15),
+], ids=["not-an-object", "no-params", "string-N", "composite-q", "string-count", "symbol-not-below-q"])
+def test_malformed_state_raises_net_error(tmp_path, header, body):
+    path = tmp_path / "state.bin"
+    path.write_bytes(header + b"\n" + body)
+    with pytest.raises(NetError):
+        load_database_state(path)
+
+
+@pytest.mark.parametrize("drop,replace", [
+    ("index", {}), ("value", {}), ("params", {}), (None, {"index": "1"}), (None, {"kind": 3}),
+])
+def test_malformed_user_file_raises_net_error(tmp_path, drop, replace):
+    _, _, _, user_path = make_state(tmp_path, label="user")
+    doc = json.loads(user_path.read_text())
+    doc.pop(drop, None)
+    doc.update(replace)
+    user_path.write_text(json.dumps(doc))
+    with pytest.raises(NetError):
+        load_user_file(user_path)

@@ -10,14 +10,12 @@ from spircr.plan import (
     SymbolRequest,
     build_pir_plan,
     cr_pool_size,
-    download_rate,
     identity_plan,
     message_length,
-    plan_from_requests,
-    render_plan,
     total_download,
     validate_pir_plan,
 )
+from spircr.scheme import assign_common_randomness, table_lines
 
 from _gf import in_span
 
@@ -87,7 +85,7 @@ def test_two_db_three_messages_counts():
         sizes = sorted(r.size for r in db)
         assert sizes == [1, 1, 1, 2, 2, 2, 3]
     assert sum(len(db) for db in plan.per_db) == 14
-    assert download_rate(p) == Fraction(14, 8)
+    assert Fraction(total_download(2, 3), p.L) == Fraction(14, 8)
 
 
 @pytest.mark.parametrize("n,k", GRID)
@@ -151,7 +149,7 @@ def test_determinism():
 def test_validator_catches_index_reuse():
     p = SchemeParams.create(1, 3, 5)
     reqs = [SymbolRequest(((1, 1),)), SymbolRequest(((2, 1),)), SymbolRequest(((2, 1),))]
-    plan = plan_from_requests(p, 3, [reqs])
+    plan = PirPlan(p, 3, (tuple(reqs),))
     problems = validate_pir_plan(plan)
     assert any("index reuse" in msg for msg in problems)
 
@@ -161,13 +159,14 @@ def test_validator_catches_missing_companion():
     good = identity_plan(p, 1)
     broken_db2 = [r for r in good.per_db[1] if r.size == 1]
     broken_db2.append(SymbolRequest(((1, 4), (2, 3))))  # companion b_3 nowhere
-    plan = plan_from_requests(p, 1, [list(good.per_db[0]), broken_db2])
+    plan = PirPlan(p, 1, (good.per_db[0], tuple(broken_db2)))
     problems = validate_pir_plan(plan)
     assert any("side-information missing" in msg for msg in problems)
 
 
 def test_render_plan_layout():
+    # a plan is shown through its masked table: one column per database
     p = SchemeParams.create(2, 2, 257)
-    text = render_plan(identity_plan(p, 1))
+    text = "\n".join(table_lines(assign_common_randomness(identity_plan(p, 1), p), p.L))
     assert "DB1" in text and "DB2" in text
     assert "W1[3]+W2[2]" in text

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from spircr.fields import Seed, SeededStream
-from spircr.plan import SchemeParams, identity_plan, plan_from_requests, validate_pir_plan
+from spircr.plan import PirPlan, SchemeParams, identity_plan, validate_pir_plan
 from spircr.scheme import (
     MUTATIONS,
     SchemeError,
@@ -12,16 +12,15 @@ from spircr.scheme import (
     apply_mutation,
     assign_common_randomness,
     canonical_family,
-    cycle_cells,
     family_json,
     measured_rates,
     permute_nonseed,
     select_query,
     shift_cell,
-    validate_query_cell,
     variant_count,
     variant_mappings,
 )
+from spircr.sim import DecodeError, decode_plan
 
 from _gf import rref
 
@@ -32,18 +31,14 @@ def stream(label: str) -> SeededStream:
     return SeededStream(Seed.from_text(label))
 
 
-def table_of(cell, desired):
-    return [
-        [(sr.terms, sr.cr) for sr in db_reqs]
-        for db_reqs in cell.per_choice[desired]
-    ]
+def table_of(table):
+    return [[(sr.terms, sr.cr) for sr in db_reqs] for db_reqs in table]
 
 
 def test_single_db_assignment_golden():
     p = SchemeParams.create(1, 3, 5)
-    cell = assign_common_randomness(identity_plan(p, 1), p)
-    assert cell.seed == 1
-    assert table_of(cell, 1) == [[((((1, 1),)), 1), ((((2, 1),)), 2), ((((3, 1),)), 3)]]
+    table = assign_common_randomness(identity_plan(p, 1), p)
+    assert table_of(table) == [[((((1, 1),)), 1), ((((2, 1),)), 2), ((((3, 1),)), 3)]]
 
 
 def test_two_db_assignment_golden():
@@ -51,8 +46,8 @@ def test_two_db_assignment_golden():
     # 1-sums take fresh labels in database order, the mixed sums inherit
     # their companion's label from the other database
     p = SchemeParams.create(2, 2, 257)
-    cell = assign_common_randomness(identity_plan(p, 1), p)
-    assert table_of(cell, 1) == [
+    table = assign_common_randomness(identity_plan(p, 1), p)
+    assert table_of(table) == [
         [(((1, 1),), 1), (((2, 1),), 2), (((1, 3), (2, 2)), 3)],
         [(((1, 2),), 1), (((2, 2),), 3), (((1, 4), (2, 1)), 2)],
     ]
@@ -61,9 +56,9 @@ def test_two_db_assignment_golden():
 def test_two_db_swap_variant_golden():
     # the second block of the fixture family: non-seed labels 2 and 3 swapped
     p = SchemeParams.create(2, 2, 257)
-    cell = assign_common_randomness(identity_plan(p, 1), p)
-    swapped = permute_nonseed(cell, {2: 3, 3: 2})
-    assert table_of(swapped, 1) == [
+    table = assign_common_randomness(identity_plan(p, 1), p)
+    swapped = permute_nonseed(table, 1, {2: 3, 3: 2})
+    assert table_of(swapped) == [
         [(((1, 1),), 1), (((2, 1),), 3), (((1, 3), (2, 2)), 2)],
         [(((1, 2),), 1), (((2, 2),), 2), (((1, 4), (2, 1)), 3)],
     ]
@@ -71,43 +66,45 @@ def test_two_db_swap_variant_golden():
 
 def test_permute_nonseed_rejects_bad_maps():
     p = SchemeParams.create(2, 2, 257)
-    cell = assign_common_randomness(identity_plan(p, 1), p)
+    table = assign_common_randomness(identity_plan(p, 1), p)
     with pytest.raises(SchemeError):
-        permute_nonseed(cell, {1: 2, 2: 1})  # touches the seed
+        permute_nonseed(table, 1, {1: 2, 2: 1})  # touches the seed
     with pytest.raises(SchemeError):
-        permute_nonseed(cell, {2: 2, 3: 2})  # not a bijection
+        permute_nonseed(table, 1, {2: 2, 3: 2})  # not a bijection
 
 
 def test_permute_then_inverse_is_identity():
     p = SchemeParams.create(2, 3, 2)
-    cell = assign_common_randomness(identity_plan(p, 2), p)
+    table = assign_common_randomness(identity_plan(p, 2), p)
     fwd = {2: 5, 5: 2, 3: 4, 4: 3, 6: 7, 7: 6}
-    assert permute_nonseed(permute_nonseed(cell, fwd), fwd).per_choice == cell.per_choice
+    assert permute_nonseed(permute_nonseed(table, 1, fwd), 1, fwd) == table
 
 
 def test_shift_cell_moves_seed_and_wraps():
     p = SchemeParams.create(1, 3, 5)
-    cell = assign_common_randomness(identity_plan(p, 1), p)
-    shifted = shift_cell(cell, 1)
-    assert shifted.seed == 2
-    assert table_of(shifted, 1) == [[(((1, 1),), 2), (((2, 1),), 3), (((3, 1),), 1)]]
+    table = assign_common_randomness(identity_plan(p, 1), p)
+    shifted = shift_cell(table, 1)
+    assert table_of(shifted) == [[(((1, 1),), 2), (((2, 1),), 3), (((3, 1),), 1)]]
 
 
 def test_cycle_cells_family():
+    # cycling the canonical table lands its seed (the desired 1-sums' index)
+    # on every pool index once, and the family holds exactly those tables
     p = SchemeParams.create(2, 2, 257)
-    cell = assign_common_randomness(identity_plan(p, 1), p)
-    family = cycle_cells(cell)
-    assert sorted(c.seed for c in family.cells) == [1, 2, 3]
-    assert family.cell_with_seed(2).per_choice == shift_cell(cell, 1).per_choice
+    table = assign_common_randomness(identity_plan(p, 1), p)
+    seeds = [shift_cell(table, d)[0][0].cr for d in range(p.rs_size)]
+    assert seeds == [1, 2, 3]
+    family = canonical_family(p)
+    assert family[2][0][1] == shift_cell(table, 1)
     # a full cycle returns to the start
-    assert shift_cell(cell, p.rs_size).per_choice == cell.per_choice
+    assert shift_cell(table, p.rs_size) == table
 
 
 def test_fresh_cr_count_two_db_three_messages():
     p = SchemeParams.create(2, 3, 2)
-    cell = assign_common_randomness(identity_plan(p, 1), p)
+    table = assign_common_randomness(identity_plan(p, 1), p)
     labels = set()
-    for db_reqs in cell.per_choice[1]:
+    for db_reqs in table:
         for sr in db_reqs:
             labels.add(sr.cr)
     assert labels == set(range(1, 8))  # 1 + 2 + 4 fresh indices
@@ -118,9 +115,9 @@ def test_per_db_cr_coverage(n, k):
     # within one database the pool labels form a bijection with requests
     p = SchemeParams.create(n, k)
     for desired in range(1, k + 1):
-        cell = assign_common_randomness(identity_plan(p, desired), p)
-        assert validate_query_cell(cell) == []
-        for db_reqs in cell.per_choice[desired]:
+        table = assign_common_randomness(identity_plan(p, desired), p)
+        assert decode_plan(p, desired, table, 1)
+        for db_reqs in table:
             labels = sorted(sr.cr for sr in db_reqs)
             assert labels == list(range(1, p.rs_size + 1))
 
@@ -148,9 +145,7 @@ def test_select_query_structure_valid():
     for n, k in GRID:
         p = SchemeParams.create(n, k)
         table = select_query(p, 1, 1, stream(f"sq-{n}-{k}"))
-        stripped = plan_from_requests(
-            p, 1, [[sr.base for sr in db_reqs] for db_reqs in table]
-        )
+        stripped = PirPlan(p, 1, tuple(tuple(sr.base for sr in db_reqs) for db_reqs in table))
         assert validate_pir_plan(stripped) == []
         for db_reqs in table:
             assert sorted(sr.cr for sr in db_reqs) == list(range(1, p.rs_size + 1))
@@ -232,9 +227,9 @@ def test_mutations_change_the_right_slot():
 
 
 def test_validate_query_cell_flags_seed_misuse():
+    # the decoder refuses a desired 1-sum masked with anything but the seed
     p = SchemeParams.create(2, 2, 257)
-    cell = assign_common_randomness(identity_plan(p, 1), p)
-    table = cell.per_choice[1]
+    table = assign_common_randomness(identity_plan(p, 1), p)
     broken = tuple(
         tuple(
             SpirRequest(sr.base, 2 if sr.base.messages() == (1,) and db == 0 else sr.cr)
@@ -242,15 +237,18 @@ def test_validate_query_cell_flags_seed_misuse():
         )
         for db, db_reqs in enumerate(table)
     )
-    bad_cell = type(cell)(cell.params, cell.seed, {1: broken}, cell.variant)
-    assert validate_query_cell(bad_cell) != []
+    assert decode_plan(p, 1, table, 1)
+    with pytest.raises(DecodeError, match="masked with S2, user holds S1"):
+        decode_plan(p, 1, broken, 1)
 
 
 def test_canonical_family_shape_and_json():
     p = SchemeParams.create(2, 2, 257)
     fam = canonical_family(p)
     assert sorted(fam) == [1, 2, 3]
-    assert all(len(cells) == 2 for cells in fam.values())
+    assert all(len(variants) == 2 for variants in fam.values())
+    assert all(sorted(v) == [1, 2] for variants in fam.values() for v in variants)
     doc = family_json(p, fam)
     assert len(doc["cells"]) == 6
     assert doc["params"]["rs_size"] == 3
+

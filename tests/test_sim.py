@@ -6,10 +6,9 @@ from spircr.fields import Seed, SeededStream
 from spircr.plan import SchemeParams
 from spircr.scheme import SpirRequest, select_query
 from spircr.sim import (
+    DatabaseState,
     DecodeError,
-    MessageStore,
     RetrievalSeeds,
-    ServerRandomness,
     SimError,
     UserRandomness,
     answer_query,
@@ -38,11 +37,12 @@ def test_deal_deterministic():
 def test_deal_shapes_and_subset_property():
     p = SchemeParams.create(2, 2, 2)
     s = seeds("shapes")
-    store, randomness, user = deal(p, s.messages, s.pool, s.user)
-    assert len(store.messages) == 2 and all(len(m) == 4 for m in store.messages)
-    assert len(randomness.pool) == 3
+    state, user = deal(p, s.messages, s.pool, s.user)
+    # X holds two messages of 4 symbols, then the pool of 3
+    assert len(state.x) == 11 and all(len(state.message(k)) == 4 for k in (1, 2))
+    assert state.x[:8] == state.message(1) + state.message(2)
     assert 1 <= user.index <= 3
-    assert user.value == randomness.pool[user.index - 1]
+    assert user.value == state.x[8 + user.index - 1]
     # space sizes the exhaustive audits rely on: 2^8 stores, 2^3 pools, 3 indices
     assert p.q ** (p.K * p.L) == 256 and p.q ** p.rs_size == 8 and p.rs_size == 3
 
@@ -52,7 +52,7 @@ def test_user_index_varies_with_seed():
     indices = set()
     for i in range(30):
         s = seeds(f"u{i}")
-        _, _, user = deal(p, s.messages, s.pool, s.user)
+        _, user = deal(p, s.messages, s.pool, s.user)
         indices.add(user.index)
     assert indices == {1, 2, 3}
 
@@ -60,32 +60,29 @@ def test_user_index_varies_with_seed():
 def test_answer_query_golden_single_db():
     # the fixture row: answers are (W1+S1, W2+S2, W3+S3) evaluated pointwise
     p = SchemeParams.create(1, 3, 5)
-    store = MessageStore(p, ((2,), (3,), (4,)))
-    randomness = ServerRandomness(p, (1, 2, 3))
+    state = DatabaseState(p, (2, 3, 4, 1, 2, 3))
     reqs = tuple(
         SpirRequest(SymbolRequest(((m, 1),)), m) for m in (1, 2, 3)
     )
-    assert answer_query(1, reqs, store, randomness) == (3, 0, 2)
+    assert answer_query(reqs, state) == (3, 0, 2)
 
 
 def test_answer_query_gf2_wraps():
     p = SchemeParams.create(1, 2, 2)
-    store = MessageStore(p, ((1,), (0,)))
-    randomness = ServerRandomness(p, (1, 0))
+    state = DatabaseState(p, (1, 0, 1, 0))
     reqs = (SpirRequest(SymbolRequest(((1, 1),)), 1),)
-    assert answer_query(1, reqs, store, randomness) == (0,)
+    assert answer_query(reqs, state) == (0,)
 
 
 def test_answer_query_range_errors():
     p = SchemeParams.create(1, 2, 2)
-    store = MessageStore(p, ((1,), (0,)))
-    randomness = ServerRandomness(p, (1, 0))
-    bad_symbol = (SpirRequest(SymbolRequest(((1, 2),)), 1),)
-    with pytest.raises(SimError):
-        answer_query(1, bad_symbol, store, randomness)
-    bad_cr = (SpirRequest(SymbolRequest(((1, 1),)), 9),)
-    with pytest.raises(SimError):
-        answer_query(1, bad_cr, store, randomness)
+    state = DatabaseState(p, (1, 0, 1, 0))
+    # past either end of a range, including indices that would wrap around
+    # X from the back if they reached it
+    for terms, cr in [(((1, 2),), 1), (((1, 0),), 1), (((0, 1),), 1),
+                      (((1, 1),), 9), (((1, 1),), 0), (((1, 1),), -1)]:
+        with pytest.raises(SimError):
+            answer_query((SpirRequest(SymbolRequest(terms), cr),), state)
 
 
 @pytest.mark.parametrize("n,k", GRID)
@@ -95,8 +92,8 @@ def test_retrieval_roundtrip_grid(n, k):
         for trial in range(4):
             s = seeds(f"run-{n}-{k}-{desired}-{trial}")
             t = run_retrieval(p, desired, s)
-            store, _, _ = deal(p, s.messages, s.pool, s.user)
-            assert t.decoded == store.messages[desired - 1]
+            state, _ = deal(p, s.messages, s.pool, s.user)
+            assert t.decoded == state.message(desired)
             assert sum(len(a) for a in t.answers) == t.rates.d * p.L
 
 
@@ -130,12 +127,9 @@ def test_transcript_json_stable():
 def test_decode_requires_matching_user_index():
     p = SchemeParams.create(1, 2, 5)
     s = seeds("mismatch")
-    store, randomness, user = deal(p, s.messages, s.pool, s.user)
+    state, user = deal(p, s.messages, s.pool, s.user)
     query = select_query(p, 1, user.index, SeededStream(s.query))
-    answers = tuple(
-        answer_query(db, reqs, store, randomness)
-        for db, reqs in enumerate(query, start=1)
-    )
+    answers = tuple(answer_query(reqs, state) for reqs in query)
     wrong = UserRandomness(index=(user.index % 2) + 1, value=user.value)
     with pytest.raises(DecodeError):
         decode(p, 1, query, answers, wrong)
@@ -144,12 +138,9 @@ def test_decode_requires_matching_user_index():
 def test_decode_detects_missing_companion():
     p = SchemeParams.create(2, 2, 5)
     s = seeds("chop")
-    store, randomness, user = deal(p, s.messages, s.pool, s.user)
+    state, user = deal(p, s.messages, s.pool, s.user)
     query = select_query(p, 1, user.index, SeededStream(s.query), mutation="bare-companion")
-    answers = tuple(
-        answer_query(db, reqs, store, randomness)
-        for db, reqs in enumerate(query, start=1)
-    )
+    answers = tuple(answer_query(reqs, state) for reqs in query)
     with pytest.raises(DecodeError):
         decode(p, 1, query, answers, user)
 

@@ -20,7 +20,6 @@ from spircr.wire import (
     encode_error_payload,
     encode_frame,
     encode_query_payload,
-    query_frame,
 )
 
 
@@ -146,7 +145,7 @@ def test_fuzz_random_frames_never_crash():
 
 def test_fuzz_mutated_valid_frames():
     p, query = sample_query()
-    base = encode_frame(query_frame(p, query[0]))
+    base = encode_frame(Frame(FrameType.QUERY, encode_query_payload(p, query[0])))
     rng = random.Random(7)
     for _ in range(20_000):
         data = bytearray(base)
