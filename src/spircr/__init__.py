@@ -15,7 +15,6 @@ from .audit import (
     query_distribution,
     reliability_audit,
     run_all_audits,
-    statistical_user_privacy,
     user_privacy_audit,
 )
 from .fields import (
@@ -114,7 +113,6 @@ __all__ = [
     "sample_permutation",
     "select_query",
     "serve_database",
-    "statistical_user_privacy",
     "time_share_plan",
     "user_privacy_audit",
     "validate_pir_plan",

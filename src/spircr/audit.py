@@ -1,10 +1,4 @@
-"""Exhaustive, exact audits of the retrieval scheme's guarantees.
-
-Every audit walks the complete space of query tables an instance can emit:
-each pool index the user can hold and every coin the user can flip while
-building a query, merged into distinct tables with integer weights. Nothing
-is sampled, so a PASS is a proof for that instance rather than a statistical
-statement.
+"""Exact audits of the retrieval scheme's guarantees, one table per desired index.
 
 The scheme is linear over F_q. Under a fixed query table T, every answer is
 a 0/1 row over the unknowns X = (W, S), all message symbols followed by all
@@ -16,9 +10,43 @@ H(AX | T) = rank(A) q-ary units. For view rows V and target rows B,
 
 T is drawn from the coins and from u alone, and neither depends on X, so
 I(T; BX) = 0 and I((T, VX); BX) = sum over T of P(T) * I(VX; BX | T): an
-exact Fraction, reached without enumerating X, at a cost that does not grow
-with q. A PASS therefore covers every joint (messages, pool, user index,
-coins) outcome.
+exact Fraction, at a cost that does not grow with q.
+
+Why one table per desired index is exact. Let T_k be
+assign_common_randomness(identity_plan(params, k)): identity symbol
+orderings and seed 1, with any mutation applied at seed 1.
+
+  * plan_with_perms(perms) is the identity plan with the symbols of each
+    message relabeled, because its take() reads nothing but perms. So
+    assign_common_randomness of that plan is T_k with the same symbol
+    relabeling and some pool relabeling tau that fixes index 1; tau comes
+    from tie-breaks in undesired_only_slots at N >= 3.
+  * At N >= 2, sample_variant is uniform on the bijections that fix 1, so
+    variant o tau is too, and shift_cell then moves 1 to the user's uniform
+    index u. The emitted table is therefore g.T_k with g uniform on
+    G = S_L^K x S_rs. At N = 1, L = 1, the variant is the identity and g is
+    the cyclic shift by u - 1.
+  * apply_mutation commutes with every relabeling, so a mutated emitted
+    table is g applied to the mutated T_k.
+  * g permutes the columns of X and carries the user's pool row S_1 to S_u.
+    Ranks do not change when columns are permuted, so every table in the
+    orbit has T_k's rank values, and the P(T)-weighted I is T_k's own value,
+    at every N. A PASS therefore covers every joint (messages, pool, user
+    index, coins) outcome.
+
+User privacy at N >= 2. Database db sees g.T_k[db] with g uniform on G, so
+its query is uniform on the orbit O_k of T_k[db]. When no (message, symbol)
+appears twice in one database's query, the orbit is named by an invariant
+(orbit_invariant): the sorted multiset, over pool indices, of the sorted
+message subsets sharing that index, plus the sorted message subsets of the
+unmasked requests.
+  (a) The per-database query distributions coincide across desired indices
+      iff, for each database, the invariant is the same for every k.
+  (b) The conditional ones then coincide too. u is a function of the query,
+      the index on that database's single W_k 1-sum, and P(u) = 1/rs, so
+      P(q | k, u) = rs/|O_k| for every k, and the O_k are one orbit by (a).
+At N = 1 the pool group is only cyclic and the invariant would wrongly pass
+(1,3) under seed-reuse, so user privacy counts the K * rs emitted tables.
 
 Audits:
   reliability        every step sim.decode plans leaves exactly the desired
@@ -29,12 +57,15 @@ Audits:
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import ClassVar
 
-from .plan import SchemeParams, plan_with_perms
+from .plan import SchemeParams, identity_plan, plan_with_perms
 from .scheme import (
     Mutation,
     QueryTable,
@@ -50,14 +81,11 @@ from .scheme import (
 )
 from .sim import (
     DecodeError,
-    RetrievalSeeds,
     decode_plan,
     message_column,
     pool_column,
     request_columns,
-    run_retrieval,
 )
-from .fields import Seed
 from .wire import encode_query_payload
 
 DEFAULT_BOUND = 10**7
@@ -68,13 +96,10 @@ class AuditError(Exception):
 
 
 class InstanceTooLarge(AuditError):
-    """The instance has more query tables than the configured bound."""
+    """The instance has more query tables than query_distribution's bound."""
 
     def __init__(self, tables: int, bound: int):
-        super().__init__(
-            f"{tables} query tables exceed the bound of {bound}; "
-            "raise the bound or use the sampled statistical mode"
-        )
+        super().__init__(f"{tables} query tables exceed the bound of {bound}")
         self.tables = tables
         self.bound = bound
 
@@ -106,14 +131,14 @@ class AuditReport:
     passed: bool
     value: str
     witness: str | None = None
-    exact: bool = True
     details: dict = field(default_factory=dict)
+    # every audit is exact; readers of reports and their JSON still check it
+    exact: ClassVar[bool] = True
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         extra = f"  [{self.witness}]" if self.witness else ""
-        mode = "" if self.exact else " (statistical, non-exact)"
-        return f"{tag} {self.name}: {self.value}{mode}{extra}"
+        return f"{tag} {self.name}: {self.value}{extra}"
 
     def to_dict(self) -> dict:
         return {
@@ -200,6 +225,35 @@ def _render_table(table: QueryTable, length: int) -> str:
 
 
 # ---------------------------------------------------------------------------
+# One representative table per desired index
+
+
+@functools.lru_cache(maxsize=256)
+def representative_table(
+    params: SchemeParams, desired: int, mutation: Mutation | None = None
+) -> QueryTable:
+    """T_k: identity symbol orderings and seed 1, with the mutation applied
+    at seed 1. Every table the user can emit for desired k is a relabeling of
+    it (module docstring)."""
+    table = assign_common_randomness(identity_plan(params, desired), params)
+    return table if mutation is None else apply_mutation(table, desired, 1, mutation)
+
+
+def _coverage(params: SchemeParams, representatives: int) -> dict:
+    return {"representatives": representatives, "outcomes": joint_space_outcomes(params)}
+
+
+def _passed(name: str, value: str, params: SchemeParams) -> AuditReport:
+    coverage = _coverage(params, params.K)
+    return AuditReport(
+        name,
+        True,
+        f"{value} on all {coverage['outcomes']} joint outcomes per desired index",
+        details=coverage,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Query distributions and user privacy
 
 
@@ -230,21 +284,6 @@ def query_distribution(
     return Distribution({k: Fraction(v, denom) for k, v in counts.items()})
 
 
-def _per_db_count_maps(params: SchemeParams, desired: int, mutation: Mutation | None):
-    """cond[u][db] and marg[db]: integer counts of per-database queries."""
-    rs, n_db = params.rs_size, params.N
-    cond: dict[int, list[dict]] = {}
-    marg: list[dict] = [dict() for _ in range(n_db)]
-    for u in range(1, rs + 1):
-        cond[u] = [dict() for _ in range(n_db)]
-        for w, table in tables_for_seed(params, desired, u, mutation):
-            for db in range(n_db):
-                dq = table[db]
-                cond[u][db][dq] = cond[u][db].get(dq, 0) + w
-                marg[db][dq] = marg[db].get(dq, 0) + w
-    return cond, marg
-
-
 def _seed_of(db_query: tuple[SpirRequest, ...], message: int) -> int | None:
     for sr in db_query:
         if sr.size == 1 and sr.terms[0][0] == message:
@@ -252,71 +291,123 @@ def _seed_of(db_query: tuple[SpirRequest, ...], message: int) -> int | None:
     return None
 
 
-def user_privacy_audit(
-    params: SchemeParams,
-    mutation: Mutation | None = None,
-    bound: int = DEFAULT_BOUND,
-) -> AuditReport:
-    """Queries must look identical to each database whatever is desired.
-
-    Two exact checks per database: (a) the pool-marginalized query
-    distributions coincide for every desired index, and (b) realization by
-    realization, the query's probability given (desired k, the pool index it
-    pins for k) equals its probability given (k', the index it pins for k').
+def orbit_invariant(db_query: tuple[SpirRequest, ...]) -> tuple:
+    """What one database's query keeps under every relabeling of symbol and
+    pool indices: the sorted multiset, over pool indices, of the sorted
+    message subsets sharing that index, and the sorted message subsets of the
+    unmasked requests. It names the query's orbit only when no (message,
+    symbol) appears twice in the query; AuditError otherwise.
     """
-    _check_bound(table_space_outcomes(params) * params.K, bound)
-    name = "user-privacy"
-    data = {
-        k: _per_db_count_maps(params, k, mutation) for k in range(1, params.K + 1)
-    }
-
-    for db in range(params.N):
-        base = data[1][1][db]
-        for k in range(2, params.K + 1):
-            other = data[k][1][db]
-            if other != base:
-                diff = [q for q in set(base) | set(other) if base.get(q, 0) != other.get(q, 0)]
-                q = sorted(diff, key=repr)[0]
-                denom = coin_count(params) * params.rs_size
-                return AuditReport(
-                    name,
-                    False,
-                    "query distributions depend on the desired index",
-                    witness=(
-                        f"db{db+1}: count(q | desired W1) = {base.get(q, 0)}/{denom} vs "
-                        f"count(q | desired W{k}) = {other.get(q, 0)}/{denom} for q = "
-                        f"{_render_db_query(q, params.L)}"
-                    ),
+    seen: set[tuple[int, int]] = set()
+    by_index: dict[int, list[tuple[int, ...]]] = {}
+    unmasked = []
+    for sr in db_query:
+        for term in sr.terms:
+            if term in seen:
+                raise AuditError(
+                    f"W{term[0]}[{term[1]}] appears twice in one database's query, "
+                    "so its orbit invariant is incomplete"
                 )
+            seen.add(term)
+        subsets = unmasked if sr.cr is None else by_index.setdefault(sr.cr, [])
+        subsets.append(sr.base.messages())
+    return sorted(tuple(sorted(s)) for s in by_index.values()), sorted(unmasked)
 
-    for db in range(params.N):
-        for k in range(1, params.K + 1):
-            cond_k = data[k][0]
+
+def _enumerated_user_privacy(params: SchemeParams, mutation: Mutation | None) -> AuditReport:
+    """User privacy at N = 1: one emitted table per (desired, user index),
+    so the K * rs tables are counted exactly as emitted."""
+    name = "user-privacy"
+    rs = params.rs_size
+    cond: dict[tuple[int, int], dict] = {}
+    marg: dict[int, Counter] = {}
+    for k in range(1, params.K + 1):
+        marg[k] = Counter()
+        for u in range(1, rs + 1):
+            cond[k, u] = {table[0]: w for w, table in tables_for_seed(params, k, u, mutation)}
+            marg[k].update(cond[k, u])
+    coverage = _coverage(params, sum(len(c) for c in cond.values()))
+
+    denom = coin_count(params) * rs
+    for k in range(2, params.K + 1):
+        diff = [q for q in set(marg[1]) | set(marg[k]) if marg[1][q] != marg[k][q]]
+        if diff:
+            q = sorted(diff, key=repr)[0]
+            return AuditReport(
+                name,
+                False,
+                "query distributions depend on the desired index",
+                witness=(
+                    f"db1: count(q | desired W1) = {marg[1][q]}/{denom} vs "
+                    f"count(q | desired W{k}) = {marg[k][q]}/{denom} for q = "
+                    f"{_render_db_query(q, params.L)}"
+                ),
+                details=coverage,
+            )
+
+    for (k, u), queries in cond.items():
+        for q, c in queries.items():
             for k2 in range(1, params.K + 1):
                 if k2 == k:
                     continue
-                cond_k2 = data[k2][0]
-                for u in range(1, params.rs_size + 1):
-                    for q, c in cond_k[u][db].items():
-                        r2 = _seed_of(q, k2)
-                        c2 = cond_k2[r2][db].get(q, 0) if r2 is not None else 0
-                        if c2 != c:
-                            return AuditReport(
-                                name,
-                                False,
-                                "conditional query distributions do not match",
-                                witness=(
-                                    f"db{db+1}: P(q | W{k}, S{u}) = {c} but "
-                                    f"P(q | W{k2}, S{r2}) = {c2} for q = "
-                                    f"{_render_db_query(q, params.L)}"
-                                ),
-                            )
+                r2 = _seed_of(q, k2)
+                c2 = cond.get((k2, r2), {}).get(q, 0)
+                if c2 != c:
+                    return AuditReport(
+                        name,
+                        False,
+                        "conditional query distributions do not match",
+                        witness=(
+                            f"db1: P(q | W{k}, S{u}) = {c} but "
+                            f"P(q | W{k2}, S{r2}) = {c2} for q = "
+                            f"{_render_db_query(q, params.L)}"
+                        ),
+                        details=coverage,
+                    )
+    return _passed_user_privacy(coverage)
+
+
+def _passed_user_privacy(coverage: dict) -> AuditReport:
     return AuditReport(
-        name,
+        "user-privacy",
         True,
         "per-database query distributions are identical across desired indices",
-        details={"tables": _table_count(params, mutation)},
+        details=coverage,
     )
+
+
+def user_privacy_audit(params: SchemeParams, mutation: Mutation | None = None) -> AuditReport:
+    """Queries must look identical to each database whatever is desired.
+
+    At N >= 2, each database's orbit invariant of T_k must be the same for
+    every desired index k; that is condition (a), and (b) follows from it
+    (module docstring). At N = 1 both are checked by counting: (a) the
+    pool-marginalized query distributions coincide for every desired index,
+    and (b) realization by realization, the query's probability given
+    (desired k, the pool index it pins for k) equals its probability given
+    (k', the index it pins for k').
+    """
+    if params.N == 1:
+        return _enumerated_user_privacy(params, mutation)
+    tables = [representative_table(params, k, mutation) for k in range(1, params.K + 1)]
+    coverage = _coverage(params, len(tables))
+    for db in range(params.N):
+        base = orbit_invariant(tables[0][db])
+        for k in range(2, params.K + 1):
+            if orbit_invariant(tables[k - 1][db]) != base:
+                return AuditReport(
+                    "user-privacy",
+                    False,
+                    "query distributions depend on the desired index",
+                    witness=(
+                        f"db{db+1}: no relabeling of symbols and pool indices maps "
+                        f"q = {_render_db_query(tables[0][db], params.L)} for desired W1 "
+                        f"onto q = {_render_db_query(tables[k - 1][db], params.L)} "
+                        f"for desired W{k}"
+                    ),
+                    details=coverage,
+                )
+    return _passed_user_privacy(coverage)
 
 
 # ---------------------------------------------------------------------------
@@ -408,176 +499,68 @@ def cr_difference_leak(params: SchemeParams, desired: int, seed: int, table: Que
     return _information(view, target, params.q)
 
 
-def _weighted_tables(params: SchemeParams, desired: int, mutation: Mutation | None):
-    for u in range(1, params.rs_size + 1):
-        for w, table in tables_for_seed(params, desired, u, mutation):
-            yield u, w, table
-
-
-def _table_count(params: SchemeParams, mutation: Mutation | None) -> int:
-    """Distinct query tables over every desired index and user index."""
-    return sum(
-        len(tables_for_seed(params, desired, u, mutation))
-        for desired in range(1, params.K + 1)
-        for u in range(1, params.rs_size + 1)
-    )
-
-
-def _passed(
-    name: str, value: str, params: SchemeParams, mutation: Mutation | None
-) -> AuditReport:
-    outcomes = joint_space_outcomes(params)
-    tables = _table_count(params, mutation)
-    return AuditReport(
-        name,
-        True,
-        f"{value} on all {outcomes} joint outcomes per desired index",
-        details={"outcomes": outcomes, "tables": tables},
-    )
-
-
-def reliability_audit(
-    params: SchemeParams,
-    mutation: Mutation | None = None,
-    bound: int = DEFAULT_BOUND,
-) -> AuditReport:
+def reliability_audit(params: SchemeParams, mutation: Mutation | None = None) -> AuditReport:
     """Decode must return the stored desired message on every joint outcome."""
-    _check_bound(table_space_outcomes(params), bound)
     name = "reliability"
     for desired in range(1, params.K + 1):
-        for u, _, table in _weighted_tables(params, desired, mutation):
-            try:
-                wrong = misdecoded_symbols(params, desired, u, table)
-            except DecodeError as e:
-                value = f"desired W{desired}: structurally undecodable ({e})"
-            else:
-                if not wrong:
-                    continue
-                value = f"desired W{desired}: decode misses W{desired}{wrong} on some (W, S)"
-            return AuditReport(
-                name, False, value, witness=f"user S{u}, query {_render_table(table, params.L)}"
-            )
-    return _passed(name, "decode exact", params, mutation)
+        table = representative_table(params, desired, mutation)
+        try:
+            wrong = misdecoded_symbols(params, desired, 1, table)
+        except DecodeError as e:
+            value = f"desired W{desired}: structurally undecodable ({e})"
+        else:
+            if not wrong:
+                continue
+            value = f"desired W{desired}: decode misses W{desired}{wrong} on some (W, S)"
+        return AuditReport(
+            name,
+            False,
+            value,
+            witness=f"user S1, query {_render_table(table, params.L)}",
+            details=_coverage(params, desired),
+        )
+    return _passed(name, "decode exact", params)
 
 
-def _leak_audit(
-    params: SchemeParams,
-    mutation: Mutation | None,
-    bound: int,
-    name: str,
-    leak,
-) -> AuditReport:
-    _check_bound(table_space_outcomes(params), bound)
-    weight_total = coin_count(params) * params.rs_size
+def _leak_audit(params: SchemeParams, mutation: Mutation | None, name: str, leak) -> AuditReport:
     for desired in range(1, params.K + 1):
-        total = 0
-        witness = None
-        for u, w, table in _weighted_tables(params, desired, mutation):
-            units = leak(params, desired, u, table)
-            if units and witness is None:
-                witness = (
-                    f"I(view; target | T) = {units} at user S{u}, "
-                    f"T = {_render_table(table, params.L)}"
-                )
-            total += w * units
-        if total:
-            info = Fraction(total, weight_total)
+        table = representative_table(params, desired, mutation)
+        units = leak(params, desired, 1, table)
+        if units:
             return AuditReport(
                 name,
                 False,
-                f"desired W{desired}: information leak, I = {info} (exact)",
-                witness=witness,
-                details={"leak": str(info)},
+                f"desired W{desired}: information leak, I = {units} (exact)",
+                witness=(
+                    f"I(view; target | T) = {units} at user S1, "
+                    f"T = {_render_table(table, params.L)}"
+                ),
+                details={"leak": str(units), **_coverage(params, desired)},
             )
-    return _passed(name, "I = 0 (exact factorization)", params, mutation)
+    return _passed(name, "I = 0 (exact factorization)", params)
 
 
 def database_privacy_audit(
-    params: SchemeParams,
-    mutation: Mutation | None = None,
-    bound: int = DEFAULT_BOUND,
+    params: SchemeParams, mutation: Mutation | None = None
 ) -> AuditReport:
     """User's whole view must be independent of the undesired messages.
 
     View = (query table, answers, user pool entry); target = every message
     symbol outside the desired message.
     """
-    return _leak_audit(params, mutation, bound, "database-privacy", database_privacy_leak)
+    return _leak_audit(params, mutation, "database-privacy", database_privacy_leak)
 
 
-def cr_difference_audit(
-    params: SchemeParams,
-    mutation: Mutation | None = None,
-    bound: int = DEFAULT_BOUND,
-) -> AuditReport:
+def cr_difference_audit(params: SchemeParams, mutation: Mutation | None = None) -> AuditReport:
     """View plus the decoded message must reveal nothing about the rest of
     the pool (the shared-randomness symbols the user does not hold)."""
-    return _leak_audit(params, mutation, bound, "cr-difference", cr_difference_leak)
+    return _leak_audit(params, mutation, "cr-difference", cr_difference_leak)
 
 
-def run_all_audits(
-    params: SchemeParams,
-    mutation: Mutation | None = None,
-    bound: int = DEFAULT_BOUND,
-) -> list[AuditReport]:
+def run_all_audits(params: SchemeParams, mutation: Mutation | None = None) -> list[AuditReport]:
     return [
-        reliability_audit(params, mutation, bound),
-        user_privacy_audit(params, mutation, bound),
-        database_privacy_audit(params, mutation, bound),
-        cr_difference_audit(params, mutation, bound),
+        reliability_audit(params, mutation),
+        user_privacy_audit(params, mutation),
+        database_privacy_audit(params, mutation),
+        cr_difference_audit(params, mutation),
     ]
-
-
-# ---------------------------------------------------------------------------
-# Sampled statistical fallback (clearly non-exact)
-
-
-def statistical_user_privacy(
-    params: SchemeParams,
-    samples: int = 2000,
-    seed: Seed | None = None,
-) -> AuditReport:
-    """Chi-square comparison of sampled per-database query frequencies.
-
-    A smoke test for instances beyond the enumeration bound: approximate by
-    construction, and labeled as such. PASS means the two-sample chi-square
-    statistic stays within five standard deviations of its mean for every
-    database and desired pair.
-    """
-    if samples < 1:
-        raise ValueError("statistical mode needs at least one sample per desired index")
-    seed = seed or Seed.from_text("statistical-user-privacy")
-    counts: list[list[dict[bytes, int]]] = []
-    for k in range(1, params.K + 1):
-        per_db: list[dict[bytes, int]] = [dict() for _ in range(params.N)]
-        for i in range(samples):
-            seeds = RetrievalSeeds.from_master(seed.derive(f"k{k}-run{i}"))
-            t = run_retrieval(params, k, seeds)
-            for db, reqs in enumerate(t.query):
-                key = encode_query_payload(params, reqs)
-                per_db[db][key] = per_db[db].get(key, 0) + 1
-        counts.append(per_db)
-
-    worst = 0.0
-    worst_desc = ""
-    for db in range(params.N):
-        for k2 in range(1, params.K):
-            c1, c2 = counts[0][db], counts[k2][db]
-            support = set(c1) | set(c2)
-            stat = 0.0
-            for key in support:
-                a, b = c1.get(key, 0), c2.get(key, 0)
-                if a + b:
-                    stat += (a - b) ** 2 / (a + b)
-            dof = max(len(support) - 1, 1)
-            z = (stat - dof) / math.sqrt(2 * dof)
-            if z > worst:
-                worst, worst_desc = z, f"db{db+1}, desired W1 vs W{k2+1}"
-    passed = worst <= 5.0
-    return AuditReport(
-        "user-privacy-sampled",
-        passed,
-        f"max chi-square z-score {worst:.2f} over {samples} samples per desired",
-        witness=None if passed else worst_desc,
-        exact=False,
-    )

@@ -3,30 +3,23 @@
 Subcommands:
   table      print the canonical query tables for an instance
   retrieve   run one retrieval, in process or against live servers
-  audit      run the exhaustive audits (or the sampled fallback)
+  audit      run the exact audits
   region     rate region: corner points, baselines, membership, time sharing
   provision  deal seeded state files for the database servers and the user
   serve      serve one database over TCP from a provisioned state file
 
 Exit codes: 0 success, 1 failed audit or failed retrieval, 2 usage (a fault
-that cannot apply to the instance included) or an instance too large to
-enumerate.
+that cannot apply to the instance included).
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
 
-from .audit import (
-    DEFAULT_BOUND,
-    InstanceTooLarge,
-    run_all_audits,
-    statistical_user_privacy,
-)
+from .audit import run_all_audits
 from .fields import DEFAULT_AUDIT_Q, DEFAULT_DEMO_Q, Seed, SeededStream
 from .net import (
     NetError,
@@ -84,17 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--endpoints", help="host:port,... to retrieve over TCP")
     r.add_argument("--user", help="user randomness file (endpoint mode)")
 
-    a = sub.add_parser("audit", help="run the exhaustive audits")
+    a = sub.add_parser("audit", help="run the exact audits")
     add_nk(a, DEFAULT_AUDIT_Q)
-    a.add_argument(
-        "--bound",
-        type=int,
-        default=int(os.environ.get("SPIRCR_BOUND", DEFAULT_BOUND)),
-        help="max query tables to enumerate",
-    )
     a.add_argument("--inject", choices=MUTATIONS, help="fault to inject")
-    a.add_argument("--statistical", action="store_true", help="sampled fallback instead")
-    a.add_argument("--samples", type=int, default=2000)
 
     g = sub.add_parser("region", help="rate region tools")
     g.add_argument("--n", type=int, required=True)
@@ -139,6 +124,11 @@ def cmd_table(parser, args) -> int:
     params = _params(parser, args)
     _check_desired(parser, params, args.desired)
     if params.L > 64 or variant_count(params) * params.rs_size > 24:
+        if args.format == "json":
+            return _usage_error(
+                f"the ({params.N},{params.K}) family is too large to print in full, "
+                "and its one sampled table prints as text only"
+            )
         table = select_query(
             params, args.desired, 1, SeededStream(Seed.from_text(args.seed))
         )
@@ -162,8 +152,16 @@ def cmd_retrieve(parser, args) -> int:
     if args.endpoints:
         if not args.user:
             parser.error("--endpoints needs --user")
+        if args.inject:
+            return _usage_error("--inject applies to in-process retrieval only, not to --endpoints")
+        asked = _params(parser, args)
         try:
             params, user = load_user_file(args.user)
+            if params != asked:
+                return _usage_error(
+                    f"--n {asked.N} --k {asked.K} --q {asked.q} does not match the user "
+                    f"file's instance N={params.N} K={params.K} q={params.q}"
+                )
             _check_desired(parser, params, args.desired)
             addresses = []
             for part in args.endpoints.split(","):
@@ -198,18 +196,8 @@ def cmd_retrieve(parser, args) -> int:
 
 def cmd_audit(parser, args) -> int:
     params = _params(parser, args)
-    if args.statistical:
-        if args.inject:
-            return _usage_error("--inject cannot be combined with --statistical")
-        if args.samples < 1:
-            return _usage_error("--samples must be at least 1")
-        report = statistical_user_privacy(params, samples=args.samples)
-        print(report.line())
-        return 0 if report.passed else 1
     try:
-        reports = run_all_audits(params, args.inject, args.bound)
-    except InstanceTooLarge as e:
-        return _usage_error(f"refusing to enumerate: {e}")
+        reports = run_all_audits(params, args.inject)
     except SchemeError as e:
         return _usage_error(f"cannot inject {args.inject}: {e}")
     for report in reports:

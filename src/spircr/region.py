@@ -37,10 +37,6 @@ class ConstraintCheck:
         return self.lhs >= self.rhs
 
     @property
-    def slack(self) -> Fraction:
-        return self.lhs - self.rhs
-
-    @property
     def tight(self) -> bool:
         return self.lhs == self.rhs
 

@@ -194,21 +194,40 @@ def sample_variant(params: SchemeParams, seed: int, rng: DrawStream) -> dict[int
 
 
 def apply_mutation(table: QueryTable, desired: int, seed: int, mutation: Mutation) -> QueryTable:
-    """Deliberately break one masking rule; used for fault-injection audits."""
+    """Deliberately break one masking rule; used for fault-injection audits.
+
+    seed-reuse masks an undesired 1-sum with the seed index, unmask-one
+    sends that 1-sum bare, and bare-companion sends a larger desired sum
+    bare. The request is the smallest by a key that no relabeling of symbol
+    or pool indices changes: (database, message) for the 1-sums, and
+    (database, size, message subset, cyclic offset of the database holding
+    its companion) for the larger sums, a key that is unique at size 2. So
+    mutating a relabeled table equals relabeling the mutated table.
+    """
     if mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutation!r}")
-    rows = [list(db_reqs) for db_reqs in table]
-    for db_reqs in rows:
+    home = {
+        sr.terms: db
+        for db, db_reqs in enumerate(table)
+        for sr in db_reqs
+        if desired not in sr.base.messages()
+    }
+    picks = []
+    for db, db_reqs in enumerate(table):
         for i, sr in enumerate(db_reqs):
-            if mutation in ("seed-reuse", "unmask-one"):
-                if sr.size == 1 and sr.terms[0][0] != desired:
-                    db_reqs[i] = SpirRequest(sr.base, seed if mutation == "seed-reuse" else None)
-                    return tuple(tuple(x) for x in rows)
-            else:
-                if sr.size >= 2 and desired in sr.base.messages():
-                    db_reqs[i] = SpirRequest(sr.base, None)
-                    return tuple(tuple(x) for x in rows)
-    raise SchemeError(f"no request eligible for mutation {mutation!r}")
+            messages = sr.base.messages()
+            if mutation == "bare-companion":
+                if sr.size >= 2 and desired in messages:
+                    offset = (home[sr.base.without(desired).terms] - db) % len(table)
+                    picks.append(((db, sr.size, messages, offset), i))
+            elif sr.size == 1 and messages[0] != desired:
+                picks.append(((db, messages), i))
+    if not picks:
+        raise SchemeError(f"no request eligible for mutation {mutation!r}")
+    (db, *_), i = min(picks)
+    rows = [list(db_reqs) for db_reqs in table]
+    rows[db][i] = SpirRequest(rows[db][i].base, seed if mutation == "seed-reuse" else None)
+    return tuple(tuple(x) for x in rows)
 
 
 def select_query(

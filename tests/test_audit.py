@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from spircr import audit
 from spircr.audit import (
+    AuditError,
     Distribution,
     InstanceTooLarge,
     coin_count,
@@ -13,15 +15,29 @@ from spircr.audit import (
     cr_difference_leak,
     database_privacy_audit,
     database_privacy_leak,
+    joint_space_outcomes,
+    orbit_invariant,
     query_distribution,
     reliability_audit,
+    representative_table,
     run_all_audits,
-    statistical_user_privacy,
     tables_for_seed,
     user_privacy_audit,
 )
-from spircr.plan import SchemeParams
-from spircr.scheme import MUTATIONS, SchemeError
+from spircr.fields import Seed, SeededStream
+from spircr.plan import SchemeParams, SymbolRequest, plan_with_perms, request_sort_key
+from spircr.scheme import (
+    MUTATIONS,
+    SchemeError,
+    SpirRequest,
+    apply_mutation,
+    assign_common_randomness,
+    permute_nonseed,
+    relabel_table,
+    select_query,
+    shift_cell,
+    variant_mappings,
+)
 from spircr.sim import DatabaseState, DecodeError, UserRandomness, answer_query, decode
 
 
@@ -93,14 +109,18 @@ def test_reliability_two_db():
     report = reliability_audit(p)
     assert report.passed
     assert report.details["outcomes"] == 3 * 1152 * 2**11
-    assert report.details["tables"] == 2 * 3 * 576
+    assert report.details["representatives"] == 2
 
 
-@pytest.mark.parametrize("n,k,tables", [(1, 3, 9), (2, 2, 3456)])
-def test_audits_report_equal_coverage(n, k, tables):
-    # every audit walks every table of every desired index and user index
-    reports = run_all_audits(SchemeParams.create(n, k, 2))
-    assert [r.details["tables"] for r in reports] == [tables] * 4
+@pytest.mark.parametrize("n,k,user_privacy_tables", [(1, 3, 9), (2, 2, 2), (3, 3, 3)])
+def test_audits_report_equal_coverage(n, k, user_privacy_tables):
+    # every audit covers the same joint outcomes; the rank audits check one
+    # table per desired index for them, and so does user privacy at N >= 2,
+    # while at N = 1 it counts all K * rs emitted tables
+    p = SchemeParams.create(n, k, 2)
+    reports = run_all_audits(p)
+    assert all(r.details["outcomes"] == joint_space_outcomes(p) for r in reports)
+    assert [r.details["representatives"] for r in reports] == [k, user_privacy_tables, k, k]
 
 
 def test_user_privacy_catches_seed_reuse():
@@ -155,19 +175,10 @@ def test_reliability_catches_bare_companion():
 
 
 def test_audits_refuse_oversized_instance():
+    # the audits no longer enumerate, but the exact query distribution does
     p = SchemeParams.create(2, 3, 2)
     with pytest.raises(InstanceTooLarge):
-        reliability_audit(p)
-    with pytest.raises(InstanceTooLarge):
-        database_privacy_audit(p)
-
-
-def test_statistical_mode_smoke():
-    p = SchemeParams.create(1, 3, 2)
-    report = statistical_user_privacy(p, samples=300)
-    assert report.passed
-    assert not report.exact
-    assert "statistical" in report.line()
+        query_distribution(p, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -263,3 +274,158 @@ def test_rank_audits_match_brute_force(n, k, q, picks):
     # decodes under every applicable fault
     assert leaky
     assert undecodable or n == 1
+
+
+# ---------------------------------------------------------------------------
+# One representative per desired index: the orbit argument, checked
+
+
+def _relabel(table, sigma, tau):
+    """g.T for g = (sigma, tau): symbol s of message m becomes sigma[m-1][s-1],
+    pool index i becomes tau[i], and each database's requests are re-sorted."""
+    return tuple(
+        tuple(sorted(
+            (
+                SpirRequest(
+                    SymbolRequest(tuple((m, sigma[m - 1][s - 1]) for m, s in sr.terms)),
+                    None if sr.cr is None else tau[sr.cr],
+                )
+                for sr in db_reqs
+            ),
+            key=lambda sr: request_sort_key(sr.terms),
+        ))
+        for db_reqs in table
+    )
+
+
+def _random_g(p, rng):
+    sigma = [rng.sample(range(1, p.L + 1), p.L) for _ in range(p.K)]
+    image = rng.sample(range(1, p.rs_size + 1), p.rs_size)
+    return sigma, dict(zip(range(1, p.rs_size + 1), image))
+
+
+@pytest.mark.parametrize("n,k,distinct", [(2, 2, 3456), (1, 3, 3)])
+def test_every_emitted_table_relabels_the_representative(n, k, distinct):
+    # every coin select_query can draw (symbol orderings, non-seed variant,
+    # user index) emits g.T_k, with g's symbol part read off the orderings
+    # and its pool part found by matching terms
+    p = SchemeParams.create(n, k, 2)
+    identity = {i: i for i in range(1, p.rs_size + 1)}
+    emitted_union = set()
+    for desired in range(1, k + 1):
+        rep = representative_table(p, desired)
+        for perms in itertools.product(itertools.permutations(range(p.L)), repeat=k):
+            sigma = [[x + 1 for x in perm] for perm in perms]
+            relabeled = _relabel(rep, sigma, identity)
+            table = assign_common_randomness(plan_with_perms(p, desired, perms), p)
+            for vmap in variant_mappings(p, 1):
+                for u in range(1, p.rs_size + 1):
+                    emitted = shift_cell(permute_nonseed(table, 1, vmap), u - 1)
+                    tau = {a.cr: b.cr for x, y in zip(relabeled, emitted) for a, b in zip(x, y)}
+                    assert sorted(tau) == sorted(tau.values()) == list(identity)
+                    assert tau[1] == u
+                    assert relabel_table(relabeled, tau) == emitted
+                    emitted_union.add(emitted)
+    assert len(emitted_union) == distinct
+
+
+@pytest.mark.parametrize("n,k", [(2, 3), (3, 2), (3, 3)])
+def test_mutations_commute_with_relabeling(n, k):
+    p = SchemeParams.create(n, k, 2)
+    rng = random.Random(f"commute-{n}-{k}")
+    for desired in range(1, k + 1):
+        rep = representative_table(p, desired)
+        for mutation in MUTATIONS:
+            for _ in range(10):
+                sigma, tau = _random_g(p, rng)
+                assert apply_mutation(_relabel(rep, sigma, tau), desired, tau[1], mutation) == (
+                    _relabel(apply_mutation(rep, desired, 1, mutation), sigma, tau)
+                )
+
+
+def _rank_values(p, desired, seed, table):
+    return (
+        _identity_holds(p, desired, seed, table),
+        database_privacy_leak(p, desired, seed, table),
+        cr_difference_leak(p, desired, seed, table),
+    )
+
+
+@pytest.mark.parametrize("n,k", [(2, 3), (3, 2)])
+def test_sampled_queries_carry_the_representative_ranks(n, k):
+    p = SchemeParams.create(n, k, 2)
+    for mutation in (None, *MUTATIONS):
+        for desired in range(1, k + 1):
+            want = _rank_values(p, desired, 1, representative_table(p, desired, mutation))
+            for i in range(8):
+                rng = SeededStream(Seed.from_text(f"orbit-{n}-{k}-{mutation}-{desired}-{i}"))
+                u = rng.randrange(p.rs_size) + 1
+                table = select_query(p, desired, u, rng, mutation)
+                assert _rank_values(p, desired, u, table) == want, (mutation, desired, u)
+
+
+def _enumerated(p, mutation):
+    """The audits as they were when they enumerated: every table of every
+    (desired, user index) from tables_for_seed, with its weight. Returns the
+    reliability verdict, the exact I of both leak audits per desired index,
+    and the user-privacy verdict from query counts."""
+    decodes, db_info, cr_info = True, [], []
+    cond: dict = {}
+    for k in range(1, p.K + 1):
+        weighted = [
+            (u, w, t) for u in range(1, p.rs_size + 1)
+            for w, t in tables_for_seed(p, k, u, mutation)
+        ]
+        total = sum(w for _, w, _ in weighted)
+        decodes = decodes and all(_identity_holds(p, k, u, t) for u, _, t in weighted)
+        db_info.append(Fraction(sum(w * database_privacy_leak(p, k, u, t) for u, w, t in weighted), total))
+        cr_info.append(Fraction(sum(w * cr_difference_leak(p, k, u, t) for u, w, t in weighted), total))
+        for u, w, t in weighted:
+            for db, dq in enumerate(t):
+                cond.setdefault((k, u, db), Counter())[dq] += w
+    marg: dict = {}
+    for (k, _, db), counts in cond.items():
+        marg.setdefault((k, db), Counter()).update(counts)
+    private = all(marg[k, db] == marg[1, db] for k, db in marg) and all(
+        counts[dq] == cond.get((k2, audit._seed_of(dq, k2), db), Counter())[dq]
+        for (k, _, db), counts in cond.items()
+        for dq in counts
+        for k2 in range(1, p.K + 1)
+        if k2 != k
+    )
+    return decodes, db_info, cr_info, private
+
+
+def _reported_leak(report):
+    return Fraction(report.details["leak"]) if not report.passed else Fraction(0)
+
+
+@pytest.mark.parametrize("mutation", [None, *MUTATIONS])
+@pytest.mark.parametrize("n,k,q", [(1, 2, 2), (1, 2, 3), (1, 3, 2), (1, 3, 3), (2, 2, 2), (2, 2, 3)])
+def test_representatives_match_enumeration(n, k, q, mutation):
+    p = SchemeParams.create(n, k, q)
+    try:
+        decodes, db_info, cr_info, private = _enumerated(p, mutation)
+    except SchemeError:
+        # the fault has no eligible request at this shape, for either path
+        with pytest.raises(SchemeError):
+            run_all_audits(p, mutation)
+        return
+    reliability, user, database, cr = run_all_audits(p, mutation)
+    assert reliability.passed == decodes
+    assert user.passed == private
+    for report, info, leak in ((database, db_info, database_privacy_leak),
+                               (cr, cr_info, cr_difference_leak)):
+        # every table of desired k has T_k's rank values, so the weighted I
+        # is T_k's own, and the audit reports the first nonzero one
+        assert info == [leak(p, d, 1, representative_table(p, d, mutation)) for d in range(1, k + 1)]
+        assert _reported_leak(report) == next((i for i in info if i), 0)
+
+
+def test_orbit_invariant_refuses_repeated_symbols():
+    p = SchemeParams.create(2, 2, 2)
+    db_query = representative_table(p, 1)[0]
+    assert orbit_invariant(db_query) == ([((1,),), ((1, 2),), ((2,),)], [])
+    doubled = db_query + (SpirRequest(db_query[0].base, None),)
+    with pytest.raises(AuditError, match="appears twice"):
+        orbit_invariant(doubled)

@@ -36,6 +36,14 @@ def test_table_large_instance_samples(capsys):
     assert "W2" in out
 
 
+def test_table_large_instance_json_is_usage_error(capsys):
+    # the sampled fallback prints text only; json output would not be json
+    code, out, err = run(capsys, "table", "--n", "2", "--k", "3", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_retrieve_json_and_determinism(capsys):
     code, out1, _ = run(capsys, "retrieve", "--n", "2", "--k", "2", "--desired", "1",
                         "--seed", "alpha")
@@ -74,6 +82,21 @@ def test_retrieve_endpoint_down(capsys, tmp_path):
     assert "retrieval failed" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--n", "2", "--k", "2", "--inject", "unmask-one"],  # the fault would be dropped
+    ["--n", "3", "--k", "3"],  # the user file's (2,2) instance would win
+    ["--n", "2", "--k", "2", "--q", "5"],
+])
+def test_retrieve_endpoints_refuse_ignored_flags(capsys, tmp_path, flags):
+    code, out, _ = run(capsys, "provision", "--n", "2", "--k", "2", "--out", str(tmp_path))
+    user_path = out.splitlines()[1].split(":", 1)[1].strip()
+    code, out, err = run(capsys, "retrieve", "--desired", "1", *flags, "--user", user_path,
+                         "--endpoints", "127.0.0.1:1,127.0.0.1:1")
+    assert code == 2  # a usage error, raised before any connection is tried
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_retrieve_endpoints_need_user(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["retrieve", "--n", "2", "--k", "2", "--desired", "1",
@@ -109,24 +132,17 @@ def test_inapplicable_fault_exits_two(capsys, argv):
     assert "cannot inject bare-companion" in err
 
 
-def test_audit_refuses_oversized(capsys):
-    code, _, err = run(capsys, "audit", "--n", "2", "--k", "3", "--q", "2")
-    assert code == 2
-    assert "refusing to enumerate" in err
-
-
-def test_audit_bound_env(capsys, monkeypatch):
-    monkeypatch.setenv("SPIRCR_BOUND", "10")
-    code, _, err = run(capsys, "audit", "--n", "2", "--k", "2", "--q", "2")
-    assert code == 2
-    assert "refusing to enumerate" in err
-
-
-def test_audit_statistical(capsys):
-    code, out, _ = run(capsys, "audit", "--n", "1", "--k", "2", "--q", "2",
-                       "--statistical", "--samples", "400")
-    assert code == 0
-    assert "statistical, non-exact" in out
+@pytest.mark.parametrize("n,k", [(2, 3), (3, 2), (3, 3)])
+def test_audit_exact_past_the_enumerable_shapes(capsys, n, k):
+    # one representative table per desired index: no coin enumeration, so
+    # shapes with 10^12 and more coin outcomes are exact too
+    code, out, err = run(capsys, "audit", "--n", str(n), "--k", str(k), "--q", "2")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert [l.split(":")[0] for l in lines] == [
+        "PASS reliability", "PASS user-privacy", "PASS database-privacy", "PASS cr-difference"
+    ]
+    assert all("I = 0 (exact factorization)" in l for l in lines[2:])
 
 
 def test_region_text_inside(capsys):
@@ -201,19 +217,6 @@ def test_package_import_does_not_load_numpy():
         check=True,
     ).stdout
     assert out.strip() == "False"
-
-
-@pytest.mark.parametrize("extra", [
-    ["--samples", "0"],
-    ["--samples", "-5"],
-    ["--inject", "unmask-one"],
-])
-def test_statistical_audit_rejects_no_evidence(capsys, extra):
-    # zero samples prove nothing, and the sampled mode cannot plant a fault
-    code, out, err = run(capsys, "audit", "--n", "1", "--k", "2", "--statistical", *extra)
-    assert code == 2
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1
 
 
 def test_region_csv_zero_steps_is_usage_error(capsys):

@@ -55,7 +55,8 @@ def test_classical_point_feasible_with_download_slack():
     verdict = check_region(2, 2, triple(2, 1, 0))
     assert verdict.inside
     by_name = {c.name: c for c in verdict.checks}
-    assert by_name["download"].slack == Fraction(1, 2)
+    download = by_name["download"]
+    assert download.lhs - download.rhs == Fraction(1, 2)
     assert by_name["download-user-tradeoff"].tight
     assert by_name["server-user-tradeoff"].tight
 
