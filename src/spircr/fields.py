@@ -6,10 +6,20 @@ seeds.
 """
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from typing import Protocol
+
+# The interpreter's own sha256 gives the same digests as hashlib's without
+# loading OpenSSL, which adds about 3.5 MB to the RSS of every process that
+# imports spircr (random.py takes its sha512 the same way).
+try:
+    from _sha256 import sha256  # Python 3.10 and 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        from hashlib import sha256
 
 # A permutation of range(n): position i maps to perm[i].
 Permutation = tuple[int, ...]
@@ -48,11 +58,11 @@ class Seed:
 
     @classmethod
     def from_text(cls, text: str) -> "Seed":
-        return cls(hashlib.sha256(text.encode("utf-8")).digest()[:SEED_BYTES])
+        return cls(sha256(text.encode("utf-8")).digest()[:SEED_BYTES])
 
     def derive(self, label: str) -> "Seed":
         """Derive an independent sub-seed for a named role."""
-        h = hashlib.sha256(self.data + b"/" + label.encode("utf-8"))
+        h = sha256(self.data + b"/" + label.encode("utf-8"))
         return Seed(h.digest()[:SEED_BYTES])
 
     def hex(self) -> str:

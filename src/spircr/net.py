@@ -3,25 +3,31 @@
 The dealer writes one state file shared verbatim by all databases (message
 store plus mask pool) and one small user file holding only the user's own
 (index, value) pool entry. Servers answer queries over the framed protocol;
-the client queries all N databases concurrently and decodes locally. State
-files are meant for a single retrieval: reusing a pool across retrievals is
-unsupported and weakens the masking guarantees.
+the client decodes locally. State files are meant for a single retrieval:
+reusing a pool across retrievals is unsupported and weakens the masking
+guarantees.
+
+The client holds one connection per database in a ``ClientSession`` and
+reuses it for every retrieval a process makes against the same addresses.
+A retrieval writes its N QUERY frames before reading any reply, on the
+caller's thread, so the N databases work on one round at once without
+client threads. An idle connection that its database closed (or wrote to)
+is replaced before use; a query that fails is never sent again.
 
 State file layout: one JSON header line, newline, then X, the database
 state, as little-endian u32: messages row by row, then the pool.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import socket
 import socketserver
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401  perfbench/tracing.py subclasses it
 from pathlib import Path
 
-from .fields import Seed, SeededStream
+from .fields import Seed, SeededStream, sha256
 from .plan import SchemeParams
 from .scheme import select_query
 from .sim import (
@@ -90,8 +96,8 @@ def provision(
         "params": params.to_dict(),
         "symbol_count": len(state.x),
         "seed_digests": {
-            "messages": hashlib.sha256(msg_seed.data).hexdigest(),
-            "pool": hashlib.sha256(pool_seed.data).hexdigest(),
+            "messages": sha256(msg_seed.data).hexdigest(),
+            "pool": sha256(pool_seed.data).hexdigest(),
         },
     }
     db_path = out / "database_state.bin"
@@ -146,6 +152,9 @@ def load_user_file(path: str | Path) -> tuple[SchemeParams, UserRandomness]:
 
 
 class _Handler(socketserver.BaseRequestHandler):
+    def setup(self) -> None:
+        self.server.track(self.request)  # type: ignore[attr-defined]
+
     def handle(self) -> None:
         server: DatabaseServer = self.server  # type: ignore[assignment]
         sock: socket.socket = self.request
@@ -166,9 +175,20 @@ class _Handler(socketserver.BaseRequestHandler):
             except OSError:
                 return
 
+    def finish(self) -> None:
+        self.server.untrack(self.request)  # type: ignore[attr-defined]
+
 
 # How often the serve loop looks for a shutdown request, which bounds stop().
 _POLL_INTERVAL_S = 0.05
+
+
+def _shut(sock: socket.socket) -> None:
+    """End both directions of a served connection; its handler then sees EOF."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:  # the peer or the handler closed it first
+        pass
 
 
 class DatabaseServer(socketserver.ThreadingTCPServer):
@@ -182,11 +202,27 @@ class DatabaseServer(socketserver.ThreadingTCPServer):
         self.state = state
         self.db_index = db_index
         self._thread: threading.Thread | None = None
+        # Connections being served, so that stop() can end them: clients
+        # keep their connections open across retrievals.
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+        self._stopped = False
 
     @property
     def address(self) -> tuple[str, int]:
         host, port = self.server_address[:2]
         return str(host), int(port)
+
+    def track(self, sock: socket.socket) -> None:
+        with self._open_lock:
+            if not self._stopped:
+                self._open.add(sock)
+                return
+        _shut(sock)
+
+    def untrack(self, sock: socket.socket) -> None:
+        with self._open_lock:
+            self._open.discard(sock)
 
     def handle_frame(self, frame: Frame) -> Frame:
         if frame.ftype == FrameType.HELLO:
@@ -219,8 +255,14 @@ class DatabaseServer(socketserver.ThreadingTCPServer):
         return self
 
     def stop(self) -> None:
+        """Stop accepting and end every open connection; none is answered after."""
         self.shutdown()
         self.server_close()
+        with self._open_lock:
+            self._stopped = True
+            served = list(self._open)
+        for sock in served:
+            _shut(sock)
         if self._thread is not None:
             self._thread.join(timeout=5.0)
 
@@ -231,16 +273,94 @@ def serve_database(
     return DatabaseServer(state, db_index, host, port).start()
 
 
-def _exchange(address: tuple[str, int], frame: Frame, timeout: float) -> Frame:
-    try:
-        with socket.create_connection(address, timeout=timeout) as sock:
-            write_frame(sock, frame)
-            reply = read_frame(sock)
-    except OSError as e:
-        raise NetError(f"transport failure talking to {address[0]}:{address[1]}: {e}") from e
-    if reply is None:
-        raise NetError(f"{address[0]}:{address[1]} closed the connection without answering")
-    return reply
+def _where(address: tuple[str, int]) -> str:
+    return f"{address[0]}:{address[1]}"
+
+
+class ClientSession:
+    """One open connection per database, reused across retrievals.
+
+    ``exchange`` runs on the caller's thread and uses no other. A session
+    whose exchange raised may hold a reply it never read: close it.
+    """
+
+    def __init__(self, addresses: tuple[tuple[str, int], ...], timeout: float):
+        self.addresses = addresses
+        self._socks: list[socket.socket] = []
+        try:
+            for address in addresses:
+                sock = socket.create_connection(address, timeout=timeout)
+                self._socks.append(sock)
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError as e:
+            self.close()
+            raise NetError(f"transport failure talking to {_where(address)}: {e}") from e
+
+    def alive(self, timeout: float) -> bool:
+        """True if no database closed its idle connection or wrote to it.
+
+        Peeks without blocking, then restores ``timeout`` on the socket.
+        """
+        for sock in self._socks:
+            sock.settimeout(0)
+            try:
+                sock.recv(1, socket.MSG_PEEK)  # b"" is EOF; any octet is stray
+                return False
+            except BlockingIOError:
+                pass
+            except OSError:
+                return False
+            finally:
+                sock.settimeout(timeout)
+        return True
+
+    def exchange(self, frames: list[Frame]) -> list[Frame]:
+        """Write frames[i] to database i for every i, then read each reply."""
+        address = self.addresses[0]
+        try:
+            for address, sock, frame in zip(self.addresses, self._socks, frames):
+                write_frame(sock, frame)
+            replies = []
+            for address, sock in zip(self.addresses, self._socks):
+                reply = read_frame(sock)
+                if reply is None:
+                    raise NetError(f"{_where(address)} closed the connection without answering")
+                replies.append(reply)
+        except OSError as e:
+            raise NetError(f"transport failure talking to {_where(address)}: {e}") from e
+        except WireError as e:
+            raise NetError(f"{_where(address)} sent a malformed frame: {e}") from e
+        return replies
+
+    def close(self) -> None:
+        for sock in self._socks:
+            sock.close()
+        self._socks = []
+
+
+# At most one idle session per address tuple, shared by every caller in the
+# process: run_client_retrieval is one call per retrieval, so the session
+# that makes connections worth keeping has to outlive the call.
+_idle: dict[tuple[tuple[str, int], ...], ClientSession] = {}
+_idle_lock = threading.Lock()
+
+
+def _checkout(addresses: tuple[tuple[str, int], ...], timeout: float) -> ClientSession:
+    """The idle session for these addresses if it is still open, else a new one."""
+    with _idle_lock:
+        session = _idle.pop(addresses, None)
+    if session is not None:
+        if session.alive(timeout):
+            return session
+        session.close()
+    return ClientSession(addresses, timeout)
+
+
+def _checkin(session: ClientSession) -> None:
+    with _idle_lock:
+        if _idle.setdefault(session.addresses, session) is session:
+            return
+    session.close()
 
 
 def run_client_retrieval(
@@ -251,10 +371,12 @@ def run_client_retrieval(
     query_seed: Seed,
     timeout: float = 10.0,
 ) -> Transcript:
-    """Query every database concurrently, join all answers, decode.
+    """Query every database in one pipelined round, join all answers, decode.
 
-    With the same seeds, the transcript core matches the in-process
-    simulator's bit for bit; only seed bookkeeping differs.
+    The connections come from the process's idle session for these
+    addresses and go back to it after a complete round; a round that fails
+    closes them. With the same seeds, the transcript core matches the
+    in-process simulator's bit for bit; only seed bookkeeping differs.
     """
     if len(addresses) != params.N:
         raise NetError(f"need {params.N} database addresses, got {len(addresses)}")
@@ -262,15 +384,25 @@ def run_client_retrieval(
     frames = [
         Frame(FrameType.QUERY, encode_query_payload(params, reqs)) for reqs in query
     ]
-    with ThreadPoolExecutor(params.N) as pool:
-        replies = list(pool.map(lambda af: _exchange(af[0], af[1], timeout), zip(addresses, frames)))
+    session = _checkout(tuple(tuple(a) for a in addresses), timeout)
+    try:
+        replies = session.exchange(frames)
+    except BaseException:
+        session.close()
+        raise
+    _checkin(session)
     answers = []
-    for (host, port), reply in zip(addresses, replies):
-        if reply.ftype == FrameType.ERROR:
-            raise NetError(f"{host}:{port} rejected the query: {decode_error_payload(reply.payload)}")
-        if reply.ftype != FrameType.ANSWER:
-            raise NetError(f"{host}:{port} sent unexpected {reply.ftype.name} frame")
-        answers.append(decode_answer_payload(reply.payload))
+    for address, reply in zip(session.addresses, replies):
+        try:
+            if reply.ftype == FrameType.ERROR:
+                raise NetError(
+                    f"{_where(address)} rejected the query: {decode_error_payload(reply.payload)}"
+                )
+            if reply.ftype != FrameType.ANSWER:
+                raise NetError(f"{_where(address)} sent unexpected {reply.ftype.name} frame")
+            answers.append(decode_answer_payload(reply.payload))
+        except WireError as e:
+            raise NetError(f"{_where(address)} sent a malformed frame: {e}") from e
     return build_transcript(
         params,
         desired,

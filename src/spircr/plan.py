@@ -9,6 +9,7 @@ become recoverable by subtraction.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import asdict, dataclass
 
@@ -90,11 +91,12 @@ class SymbolRequest:
     terms: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             raise ValueError("a request needs at least one term")
-        msgs = [m for m, _ in self.terms]
-        if msgs != sorted(msgs) or len(set(msgs)) != len(msgs):
-            raise ValueError("terms must be sorted by distinct message index")
+        for i in range(1, len(terms)):
+            if terms[i - 1][0] >= terms[i][0]:
+                raise ValueError("terms must be sorted by distinct message index")
 
     @property
     def size(self) -> int:
@@ -171,11 +173,7 @@ def plan_with_perms(
     for t in range(1, n_msg + 1):
         side_this: list[list[SymbolRequest]] = [[] for _ in range(n_db)]
         for db in range(1, n_db + 1):
-            subsets = sorted(
-                itertools.combinations(range(1, n_msg + 1), t),
-                key=lambda sub: subset_rank(sub, desired, n_msg),
-            )
-            for subset in subsets:
+            for subset in _ranked_subsets(n_msg, desired, t):
                 if desired in subset:
                     if t == 1:
                         per_db[db - 1].append(SymbolRequest(((desired, take(desired)),)))
@@ -202,6 +200,17 @@ def plan_with_perms(
         for reqs in per_db
     )
     return PirPlan(params=params, desired=desired, per_db=ordered)
+
+
+@functools.lru_cache(maxsize=256)
+def _ranked_subsets(n_msg: int, desired: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """Every t-subset of the messages, ordered by ``subset_rank``."""
+    return tuple(
+        sorted(
+            itertools.combinations(range(1, n_msg + 1), t),
+            key=lambda sub: subset_rank(sub, desired, n_msg),
+        )
+    )
 
 
 def _cyclic_others(db: int, n_db: int) -> list[int]:

@@ -98,23 +98,6 @@ def decode_frame(data: bytes) -> Frame:
     return Frame(kind, data[_HEADER.size :])
 
 
-class _Cursor:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, fmt: struct.Struct):
-        if self.pos + fmt.size > len(self.data):
-            raise WireError("payload truncated")
-        vals = fmt.unpack_from(self.data, self.pos)
-        self.pos += fmt.size
-        return vals
-
-    def done(self) -> None:
-        if self.pos != len(self.data):
-            raise WireError(f"{len(self.data) - self.pos} trailing octets in payload")
-
-
 def encode_query_payload(params: SchemeParams, requests: tuple[SpirRequest, ...]) -> bytes:
     """Canonical octets for one database's request list."""
     out = [_QUERY_HEAD.pack(params.N, params.K, params.q, params.L)]
@@ -128,54 +111,78 @@ def encode_query_payload(params: SchemeParams, requests: tuple[SpirRequest, ...]
 
 
 def decode_query_payload(data: bytes) -> tuple[ParamsEcho, tuple[SpirRequest, ...]]:
-    """Parse and validate a query payload, enforcing canonical order."""
-    cur = _Cursor(data)
-    n_db, n_msg, q, length = cur.take(_QUERY_HEAD)
+    """Parse and validate a query payload, enforcing canonical order.
+
+    One pass over the octets: each request's terms come from one
+    ``iter_unpack`` over its term block. Checks run in field order, so the
+    first malformed field names the error whatever follows it.
+    """
+    size = len(data)
+    if size < _QUERY_HEAD.size:
+        raise WireError("payload truncated")
+    n_db, n_msg, q, length = _QUERY_HEAD.unpack_from(data)
     if n_db < 1 or n_msg < 1 or q < 2 or length < 1:
         raise WireError(f"implausible parameters N={n_db} K={n_msg} q={q} L={length}")
-    (count,) = cur.take(_U32)
+    pos = _QUERY_HEAD.size + _U32.size
+    if pos > size:
+        raise WireError("payload truncated")
+    (count,) = _U32.unpack_from(data, _QUERY_HEAD.size)
     if count > MAX_PAYLOAD // _TERM.size:
         raise WireError(f"implausible request count {count}")
+    view = memoryview(data)
     requests = []
+    in_order = True
+    prev_key = request_sort_key(())
     for _ in range(count):
-        (tc,) = cur.take(_U16)
+        if pos + _U16.size > size:
+            raise WireError("payload truncated")
+        (tc,) = _U16.unpack_from(data, pos)
+        pos += _U16.size
         if tc < 1:
             raise WireError("request with zero terms")
-        terms = []
-        for _ in range(tc):
-            m, s = cur.take(_TERM)
+        whole = min(tc, (size - pos) // _TERM.size)
+        terms = tuple(_TERM.iter_unpack(view[pos : pos + whole * _TERM.size]))
+        for m, s in terms:
             if not 1 <= m <= n_msg:
                 raise WireError(f"message index {m} outside [1, {n_msg}]")
             if not 1 <= s <= length:
                 raise WireError(f"symbol index {s} outside [1, {length}]")
-            terms.append((m, s))
-        (cr,) = cur.take(_U32)
-        msgs = [m for m, _ in terms]
-        if msgs != sorted(msgs) or len(set(msgs)) != len(msgs):
-            raise WireError("request terms not in canonical message order")
-        requests.append(SpirRequest(SymbolRequest(tuple(terms)), None if cr == 0 else cr))
-    cur.done()
-    keys = [request_sort_key(sr.terms) for sr in requests]
-    if keys != sorted(keys):
+        pos += tc * _TERM.size
+        if whole < tc or pos + _U32.size > size:
+            raise WireError("payload truncated")
+        (cr,) = _U32.unpack_from(data, pos)
+        pos += _U32.size
+        try:
+            base = SymbolRequest(terms)
+        except ValueError:  # terms not strictly increasing by message
+            raise WireError("request terms not in canonical message order") from None
+        key = request_sort_key(terms)
+        in_order = in_order and prev_key <= key
+        prev_key = key
+        requests.append(SpirRequest(base, None if cr == 0 else cr))
+    if pos != size:
+        raise WireError(f"{size - pos} trailing octets in payload")
+    if not in_order:
         raise WireError("requests not in canonical sorted order")
     return ParamsEcho(n_db, n_msg, q, length), tuple(requests)
 
 
 def encode_answer_payload(values: tuple[int, ...]) -> bytes:
-    out = [_U32.pack(len(values))]
-    for v in values:
-        out.append(_U32.pack(v))
-    return b"".join(out)
+    return struct.pack(f">{1 + len(values)}I", len(values), *values)
 
 
 def decode_answer_payload(data: bytes) -> tuple[int, ...]:
-    cur = _Cursor(data)
-    (count,) = cur.take(_U32)
+    if len(data) < _U32.size:
+        raise WireError("payload truncated")
+    (count,) = _U32.unpack_from(data)
     if count > MAX_PAYLOAD // _U32.size:
         raise WireError(f"implausible answer count {count}")
-    vals = tuple(cur.take(_U32)[0] for _ in range(count))
-    cur.done()
-    return vals
+    end = _U32.size * (1 + count)
+    if len(data) < end:
+        raise WireError("payload truncated")
+    if len(data) > end:
+        raise WireError(f"{len(data) - end} trailing octets in payload")
+    return struct.unpack_from(f">{count}I", data, _U32.size)
 
 
 def encode_error_payload(reason: str) -> bytes:

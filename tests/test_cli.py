@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -211,6 +212,21 @@ def test_package_import_does_not_load_numpy():
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
         [sys.executable, "-c", "import spircr, sys; print('numpy' in sys.modules)"],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"
+
+
+def test_package_import_does_not_load_openssl():
+    # every client and server imports spircr.cli's modules; OpenSSL adds ~3.5 MB
+    if importlib.util.find_spec("_sha256") is None and importlib.util.find_spec("_sha2") is None:
+        pytest.skip("this interpreter has no built-in sha256")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", "import spircr.cli, sys; print('_hashlib' in sys.modules)"],
         env={"PYTHONPATH": str(src)},
         capture_output=True,
         text=True,

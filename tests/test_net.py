@@ -1,11 +1,13 @@
 import hashlib
 import json
 import socket
+import sys
 import threading
 import time
 
 import pytest
 
+from spircr import net
 from spircr.fields import Seed, SeededStream
 from spircr.net import (
     NetError,
@@ -22,6 +24,7 @@ from spircr.wire import (
     Frame,
     FrameType,
     WireError,
+    encode_error_payload,
     encode_query_payload,
     read_frame,
     write_frame,
@@ -235,3 +238,152 @@ def test_malformed_user_file_raises_net_error(tmp_path, drop, replace):
     user_path.write_text(json.dumps(doc))
     with pytest.raises(NetError):
         load_user_file(user_path)
+
+
+class _CountingSocket:
+    """Stands in for the socket module inside spircr.net, counting connects."""
+
+    def __init__(self, real):
+        self._real = real
+        self.connects = 0
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+    def create_connection(self, *args, **kwargs):
+        self.connects += 1
+        return self._real.create_connection(*args, **kwargs)
+
+
+@pytest.fixture
+def connects(monkeypatch):
+    counter = _CountingSocket(net.socket)
+    monkeypatch.setattr(net, "socket", counter)
+    return counter
+
+
+class _Pair:
+    """Two database servers on one provisioned state, stopped on teardown."""
+
+    def __init__(self, tmp_path):
+        self.params, self.master, state_path, user_path = make_state(tmp_path, label="pool")
+        self.state = load_database_state(state_path)
+        self.user = load_user_file(user_path)[1]
+        self.servers = [serve_database(self.state, i) for i in (1, 2)]
+
+    @property
+    def addresses(self):
+        return [s.address for s in self.servers]
+
+    def retrieve(self, desired, label):
+        t = run_client_retrieval(
+            self.addresses, self.params, desired, self.user, self.master.derive(label)
+        )
+        assert t.decoded == self.state.message(desired)
+        return t
+
+    def restart(self):
+        ports = [s.address[1] for s in self.servers]
+        for s in self.servers:
+            s.stop()
+        self.servers = [serve_database(self.state, i, port=p) for i, p in zip((1, 2), ports)]
+
+    def stop(self):
+        for s in self.servers:
+            s.stop()
+
+
+@pytest.fixture
+def pair(tmp_path):
+    p = _Pair(tmp_path)
+    try:
+        yield p
+    finally:
+        p.stop()
+
+
+def _fail_once(monkeypatch, server, reply):
+    """Make ``server`` send ``reply`` to the next frame, then serve as before."""
+    real = server.handle_frame
+    calls = []
+
+    def handle_frame(frame):
+        calls.append(frame)
+        return reply if len(calls) == 1 else real(frame)
+
+    monkeypatch.setattr(server, "handle_frame", handle_frame)
+
+
+def test_session_reuses_one_connection_per_database(pair, connects):
+    for i in range(10):
+        pair.retrieve(i % 2 + 1, f"reuse{i}")
+    assert connects.connects == 2
+
+
+def test_restarted_servers_get_new_connections(pair, connects):
+    pair.retrieve(1, "before")
+    pair.restart()
+    pair.retrieve(2, "after")
+    assert connects.connects == 4
+
+
+def test_error_reply_keeps_the_session(pair, connects, monkeypatch):
+    pair.retrieve(1, "warm")
+    _fail_once(monkeypatch, pair.servers[0], Frame(FrameType.ERROR, encode_error_payload("no")))
+    with pytest.raises(NetError, match="rejected the query: no"):
+        pair.retrieve(1, "rejected")
+    pair.retrieve(2, "next")
+    assert connects.connects == 2
+
+
+@pytest.mark.parametrize("reply,reason,total_connects", [
+    # a frame the client cannot read leaves the connection out of step: reconnect
+    (Frame(99, b""), "unknown frame type 99", 4),
+    # a whole frame with a bad payload leaves it in step: keep it
+    (Frame(FrameType.ANSWER, b"\0"), "payload truncated", 2),
+], ids=["frame", "payload"])
+def test_malformed_reply_raises_net_error(pair, connects, monkeypatch, reply, reason, total_connects):
+    pair.retrieve(1, "warm")
+    _fail_once(monkeypatch, pair.servers[1], reply)
+    with pytest.raises(NetError, match=f"malformed frame: {reason}"):
+        pair.retrieve(1, "garbage")
+    pair.retrieve(2, "next")
+    assert connects.connects == total_connects
+
+
+def test_stop_ends_open_connections(pair):
+    with socket.create_connection(pair.addresses[0], timeout=5.0) as sock:
+        write_frame(sock, Frame(FrameType.HELLO, b""))
+        assert read_frame(sock).ftype == FrameType.HELLO
+        pair.servers[0].stop()
+        assert read_frame(sock) is None
+
+
+def test_pooled_retrieval_against_stopped_servers_fails(pair):
+    pair.retrieve(1, "warm")
+    pair.stop()
+    with pytest.raises(NetError):
+        pair.retrieve(2, "stopped")
+
+
+def test_concurrent_sessions_under_fast_switching(pair):
+    results = []
+
+    def worker(w):
+        for i in range(5):
+            pair.retrieve((w + i) % 2 + 1, f"stress{w}/{i}")
+            results.append((w, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(w,)) for w in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(results) == 30
+    assert tuple(pair.addresses) in net._idle
