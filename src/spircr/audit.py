@@ -34,19 +34,28 @@ orderings and seed 1, with any mutation applied at seed 1.
     at every N. A PASS therefore covers every joint (messages, pool, user
     index, coins) outcome.
 
-User privacy at N >= 2. Database db sees g.T_k[db] with g uniform on G, so
-its query is uniform on the orbit O_k of T_k[db]. When no (message, symbol)
-appears twice in one database's query, the orbit is named by an invariant
-(orbit_invariant): the sorted multiset, over pool indices, of the sorted
-message subsets sharing that index, plus the sorted message subsets of the
-unmasked requests.
+User privacy. Database db sees g.T_k[db] with g uniform on the group the
+scheme draws from, so its query is uniform on the orbit O_k of T_k[db].
   (a) The per-database query distributions coincide across desired indices
-      iff, for each database, the invariant is the same for every k.
+      iff, for each database, the orbit key of T_k[db] is the same for
+      every k.
   (b) The conditional ones then coincide too. u is a function of the query,
-      the index on that database's single W_k 1-sum, and P(u) = 1/rs, so
-      P(q | k, u) = rs/|O_k| for every k, and the O_k are one orbit by (a).
-At N = 1 the pool group is only cyclic and the invariant would wrongly pass
-(1,3) under seed-reuse, so user privacy counts the K * rs emitted tables.
+      the index on that database's single W_k 1-sum, which no fault
+      changes, and P(u) = 1/rs, so P(q | k, u) = rs/|O_k| for every k, and
+      the O_k are one orbit by (a).
+The orbit key names the orbit under that group (orbit_key):
+  * At N >= 2, G = S_L^K x S_rs. When no (message, symbol) appears twice in
+    one database's query, the key is orbit_invariant: the sorted multiset,
+    over pool indices, of the sorted message subsets sharing that index,
+    plus the sorted message subsets of the unmasked requests.
+  * At N = 1, L = 1 and the variant is the identity, so the emitted pool
+    maps are the rs cyclic shifts. orbit_invariant allows every pool
+    bijection and so equates queries no shift maps onto each other (T_1[0]
+    and T_2[0] at (1,4) under seed-reuse). The key is the least
+    encode_query_payload over the rs shifts of T_k[0], an exact canonical
+    form of the orbit with no precondition. No nonzero shift fixes a query,
+    because it moves the index on the W_k 1-sum, so |O_k| = rs and
+    P(q | k, u) = 1.
 
 Audits:
   reliability        every step sim.decode plans leaves exactly the desired
@@ -60,7 +69,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar
@@ -284,13 +292,6 @@ def query_distribution(
     return Distribution({k: Fraction(v, denom) for k, v in counts.items()})
 
 
-def _seed_of(db_query: tuple[SpirRequest, ...], message: int) -> int | None:
-    for sr in db_query:
-        if sr.size == 1 and sr.terms[0][0] == message:
-            return sr.cr
-    return None
-
-
 def orbit_invariant(db_query: tuple[SpirRequest, ...]) -> tuple:
     """What one database's query keeps under every relabeling of symbol and
     pool indices: the sorted multiset, over pool indices, of the sorted
@@ -314,100 +315,49 @@ def orbit_invariant(db_query: tuple[SpirRequest, ...]) -> tuple:
     return sorted(tuple(sorted(s)) for s in by_index.values()), sorted(unmasked)
 
 
-def _enumerated_user_privacy(params: SchemeParams, mutation: Mutation | None) -> AuditReport:
-    """User privacy at N = 1: one emitted table per (desired, user index),
-    so the K * rs tables are counted exactly as emitted."""
-    name = "user-privacy"
-    rs = params.rs_size
-    cond: dict[tuple[int, int], dict] = {}
-    marg: dict[int, Counter] = {}
-    for k in range(1, params.K + 1):
-        marg[k] = Counter()
-        for u in range(1, rs + 1):
-            cond[k, u] = {table[0]: w for w, table in tables_for_seed(params, k, u, mutation)}
-            marg[k].update(cond[k, u])
-    coverage = _coverage(params, sum(len(c) for c in cond.values()))
-
-    denom = coin_count(params) * rs
-    for k in range(2, params.K + 1):
-        diff = [q for q in set(marg[1]) | set(marg[k]) if marg[1][q] != marg[k][q]]
-        if diff:
-            q = sorted(diff, key=repr)[0]
-            return AuditReport(
-                name,
-                False,
-                "query distributions depend on the desired index",
-                witness=(
-                    f"db1: count(q | desired W1) = {marg[1][q]}/{denom} vs "
-                    f"count(q | desired W{k}) = {marg[k][q]}/{denom} for q = "
-                    f"{_render_db_query(q, params.L)}"
-                ),
-                details=coverage,
-            )
-
-    for (k, u), queries in cond.items():
-        for q, c in queries.items():
-            for k2 in range(1, params.K + 1):
-                if k2 == k:
-                    continue
-                r2 = _seed_of(q, k2)
-                c2 = cond.get((k2, r2), {}).get(q, 0)
-                if c2 != c:
-                    return AuditReport(
-                        name,
-                        False,
-                        "conditional query distributions do not match",
-                        witness=(
-                            f"db1: P(q | W{k}, S{u}) = {c} but "
-                            f"P(q | W{k2}, S{r2}) = {c2} for q = "
-                            f"{_render_db_query(q, params.L)}"
-                        ),
-                        details=coverage,
-                    )
-    return _passed_user_privacy(coverage)
-
-
-def _passed_user_privacy(coverage: dict) -> AuditReport:
-    return AuditReport(
-        "user-privacy",
-        True,
-        "per-database query distributions are identical across desired indices",
-        details=coverage,
+def orbit_key(params: SchemeParams, db_query: tuple[SpirRequest, ...]):
+    """Equal for two queries of one database exactly when some relabeling
+    the scheme emits maps one onto the other (module docstring). At N >= 2
+    it is orbit_invariant, under that function's precondition."""
+    if params.N >= 2:
+        return orbit_invariant(db_query)
+    shifts = (shift_mapping(params.rs_size, d) for d in range(params.rs_size))
+    return min(
+        encode_query_payload(params, relabel_table((db_query,), shift)[0]) for shift in shifts
     )
 
 
 def user_privacy_audit(params: SchemeParams, mutation: Mutation | None = None) -> AuditReport:
     """Queries must look identical to each database whatever is desired.
 
-    At N >= 2, each database's orbit invariant of T_k must be the same for
-    every desired index k; that is condition (a), and (b) follows from it
-    (module docstring). At N = 1 both are checked by counting: (a) the
-    pool-marginalized query distributions coincide for every desired index,
-    and (b) realization by realization, the query's probability given
-    (desired k, the pool index it pins for k) equals its probability given
-    (k', the index it pins for k').
+    Each database's orbit key of T_k must be the same for every desired
+    index k; that is condition (a), and (b) follows from it (module
+    docstring).
     """
-    if params.N == 1:
-        return _enumerated_user_privacy(params, mutation)
     tables = [representative_table(params, k, mutation) for k in range(1, params.K + 1)]
     coverage = _coverage(params, len(tables))
     for db in range(params.N):
-        base = orbit_invariant(tables[0][db])
+        base = orbit_key(params, tables[0][db])
         for k in range(2, params.K + 1):
-            if orbit_invariant(tables[k - 1][db]) != base:
+            if orbit_key(params, tables[k - 1][db]) != base:
                 return AuditReport(
                     "user-privacy",
                     False,
                     "query distributions depend on the desired index",
                     witness=(
-                        f"db{db+1}: no relabeling of symbols and pool indices maps "
+                        f"db{db+1}: no relabeling the scheme emits maps "
                         f"q = {_render_db_query(tables[0][db], params.L)} for desired W1 "
                         f"onto q = {_render_db_query(tables[k - 1][db], params.L)} "
                         f"for desired W{k}"
                     ),
                     details=coverage,
                 )
-    return _passed_user_privacy(coverage)
+    return AuditReport(
+        "user-privacy",
+        True,
+        "per-database query distributions are identical across desired indices",
+        details=coverage,
+    )
 
 
 # ---------------------------------------------------------------------------

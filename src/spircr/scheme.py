@@ -185,10 +185,10 @@ def variant_count(params: SchemeParams) -> int:
     return math.factorial(params.rs_size - 1)
 
 
-def sample_variant(params: SchemeParams, seed: int, rng: DrawStream) -> dict[int, int]:
-    cycle = nonseed_cycle(params, seed)
-    if params.N == 1:
-        return {i: i for i in cycle}
+def sample_variant(params: SchemeParams, rng: DrawStream) -> dict[int, int]:
+    """A uniform relabeling of the non-seed indices of a seed-1 table; only
+    N >= 2 draws one (variant_mappings)."""
+    cycle = nonseed_cycle(params, 1)
     p = sample_permutation(len(cycle), rng)
     return {cycle[i]: cycle[p[i]] for i in range(len(cycle))}
 
@@ -247,7 +247,7 @@ def select_query(
     plan = build_pir_plan(params, desired, rng)
     table = assign_common_randomness(plan, params)
     if params.N >= 2:
-        table = permute_nonseed(table, 1, sample_variant(params, 1, rng))
+        table = permute_nonseed(table, 1, sample_variant(params, rng))
     table = shift_cell(table, user_cr_index - 1)
     if mutation is not None:
         table = apply_mutation(table, desired, user_cr_index, mutation)

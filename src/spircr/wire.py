@@ -76,10 +76,9 @@ def encode_frame(frame: Frame) -> bytes:
     return _HEADER.pack(MAGIC, VERSION, int(frame.ftype), len(frame.payload)) + frame.payload
 
 
-def decode_frame(data: bytes) -> Frame:
-    """Decode one complete frame occupying the whole buffer."""
-    if len(data) < _HEADER.size:
-        raise WireError(f"truncated header: {len(data)} of {_HEADER.size} octets")
+def _frame_header(data: bytes) -> tuple[FrameType, int]:
+    """Check the header at the start of data (at least a whole header); the
+    frame's type and declared payload length."""
     magic, version, ftype, length = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise WireError(f"bad magic {magic!r}")
@@ -87,14 +86,21 @@ def decode_frame(data: bytes) -> Frame:
         raise WireError(f"unsupported version {version}")
     if length > MAX_PAYLOAD:
         raise WireError(f"declared payload of {length} octets exceeds maximum")
+    try:
+        return FrameType(ftype), length
+    except ValueError:
+        raise WireError(f"unknown frame type {ftype}") from None
+
+
+def decode_frame(data: bytes) -> Frame:
+    """Decode one complete frame occupying the whole buffer."""
+    if len(data) < _HEADER.size:
+        raise WireError(f"truncated header: {len(data)} of {_HEADER.size} octets")
+    kind, length = _frame_header(data)
     if len(data) != _HEADER.size + length:
         raise WireError(
             f"length mismatch: declared {length}, buffer holds {len(data) - _HEADER.size}"
         )
-    try:
-        kind = FrameType(ftype)
-    except ValueError:
-        raise WireError(f"unknown frame type {ftype}") from None
     return Frame(kind, data[_HEADER.size :])
 
 
@@ -201,19 +207,8 @@ def read_frame(sock: socket.socket) -> Frame | None:
     head = _read_exact(sock, _HEADER.size, allow_eof=True)
     if head is None:
         return None
-    magic, version, ftype, length = _HEADER.unpack(head)
-    if magic != MAGIC:
-        raise WireError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise WireError(f"unsupported version {version}")
-    if length > MAX_PAYLOAD:
-        raise WireError(f"declared payload of {length} octets exceeds maximum")
-    payload = _read_exact(sock, length, allow_eof=False) if length else b""
-    try:
-        kind = FrameType(ftype)
-    except ValueError:
-        raise WireError(f"unknown frame type {ftype}") from None
-    return Frame(kind, payload or b"")
+    kind, length = _frame_header(head)
+    return Frame(kind, _read_exact(sock, length, allow_eof=False))
 
 
 def write_frame(sock: socket.socket, frame: Frame) -> None:

@@ -17,6 +17,7 @@ from spircr.audit import (
     database_privacy_leak,
     joint_space_outcomes,
     orbit_invariant,
+    orbit_key,
     query_distribution,
     reliability_audit,
     representative_table,
@@ -112,15 +113,14 @@ def test_reliability_two_db():
     assert report.details["representatives"] == 2
 
 
-@pytest.mark.parametrize("n,k,user_privacy_tables", [(1, 3, 9), (2, 2, 2), (3, 3, 3)])
-def test_audits_report_equal_coverage(n, k, user_privacy_tables):
-    # every audit covers the same joint outcomes; the rank audits check one
-    # table per desired index for them, and so does user privacy at N >= 2,
-    # while at N = 1 it counts all K * rs emitted tables
+@pytest.mark.parametrize("n,k,representatives", [(1, 3, 3), (2, 2, 2), (3, 3, 3)])
+def test_audits_report_equal_coverage(n, k, representatives):
+    # every audit covers the same joint outcomes and checks one table per
+    # desired index for them, user privacy at N = 1 included
     p = SchemeParams.create(n, k, 2)
     reports = run_all_audits(p)
     assert all(r.details["outcomes"] == joint_space_outcomes(p) for r in reports)
-    assert [r.details["representatives"] for r in reports] == [k, user_privacy_tables, k, k]
+    assert [r.details["representatives"] for r in reports] == [representatives] * 4
 
 
 def test_user_privacy_catches_seed_reuse():
@@ -364,6 +364,14 @@ def test_sampled_queries_carry_the_representative_ranks(n, k):
                 assert _rank_values(p, desired, u, table) == want, (mutation, desired, u)
 
 
+def _seed_of(db_query, message):
+    """The pool index on the query's 1-sum of message."""
+    for sr in db_query:
+        if sr.size == 1 and sr.terms[0][0] == message:
+            return sr.cr
+    return None
+
+
 def _enumerated(p, mutation):
     """The audits as they were when they enumerated: every table of every
     (desired, user index) from tables_for_seed, with its weight. Returns the
@@ -387,7 +395,7 @@ def _enumerated(p, mutation):
     for (k, _, db), counts in cond.items():
         marg.setdefault((k, db), Counter()).update(counts)
     private = all(marg[k, db] == marg[1, db] for k, db in marg) and all(
-        counts[dq] == cond.get((k2, audit._seed_of(dq, k2), db), Counter())[dq]
+        counts[dq] == cond.get((k2, _seed_of(dq, k2), db), Counter())[dq]
         for (k, _, db), counts in cond.items()
         for dq in counts
         for k2 in range(1, p.K + 1)
@@ -401,7 +409,9 @@ def _reported_leak(report):
 
 
 @pytest.mark.parametrize("mutation", [None, *MUTATIONS])
-@pytest.mark.parametrize("n,k,q", [(1, 2, 2), (1, 2, 3), (1, 3, 2), (1, 3, 3), (2, 2, 2), (2, 2, 3)])
+@pytest.mark.parametrize(
+    "n,k,q", [(1, 2, 2), (1, 2, 3), (1, 3, 2), (1, 3, 3), (1, 4, 2), (2, 2, 2), (2, 2, 3)]
+)
 def test_representatives_match_enumeration(n, k, q, mutation):
     p = SchemeParams.create(n, k, q)
     try:
@@ -429,3 +439,37 @@ def test_orbit_invariant_refuses_repeated_symbols():
     doubled = db_query + (SpirRequest(db_query[0].base, None),)
     with pytest.raises(AuditError, match="appears twice"):
         orbit_invariant(doubled)
+
+
+def test_single_db_orbit_key_is_cyclic():
+    # at N = 1 the scheme relabels the pool only by cyclic shifts: under
+    # seed-reuse, T_1 and T_2 share which messages share an index, but no
+    # shift maps one onto the other, and only the cyclic key tells them apart
+    p = SchemeParams.create(1, 4, 2)
+    t1, t2 = (representative_table(p, k, "seed-reuse")[0] for k in (1, 2))
+    assert [sr.cr for sr in t1] == [1, 1, 3, 4]
+    assert [sr.cr for sr in t2] == [1, 1, 2, 3]
+    assert [sr.terms for sr in t1] == [sr.terms for sr in t2] == [((m, 1),) for m in range(1, 5)]
+    assert orbit_invariant(t1) == orbit_invariant(t2)
+    assert orbit_key(p, t1) != orbit_key(p, t2)
+    shifted = relabel_table((t1,), {1: 3, 2: 4, 3: 1, 4: 2})[0]
+    assert orbit_key(p, shifted) == orbit_key(p, t1)
+    report = user_privacy_audit(p, mutation="seed-reuse")
+    assert not report.passed
+    assert report.witness == (
+        "db1: no relabeling the scheme emits maps q = W1+S1, W2+S1, W3+S3, W4+S4 "
+        "for desired W1 onto q = W1+S1, W2+S1, W3+S2, W4+S3 for desired W2"
+    )
+
+
+@pytest.mark.parametrize("n,k", [(1, 3), (2, 2)])
+def test_audits_enumerate_no_coins(n, k, monkeypatch):
+    # coin_count stays reachable: it is the closed form behind "outcomes"
+    def refuse(*args, **kwargs):
+        raise AssertionError("an audit enumerated the coin space")
+
+    for name in ("tables_for_seed", "_seed1_tables"):
+        monkeypatch.setattr(audit, name, refuse)
+    p = SchemeParams.create(n, k, 2)
+    for mutation in (None, "seed-reuse", "unmask-one"):
+        run_all_audits(p, mutation)
