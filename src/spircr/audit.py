@@ -13,16 +13,16 @@ I(T; BX) = 0 and I((T, VX); BX) = sum over T of P(T) * I(VX; BX | T): an
 exact Fraction, at a cost that does not grow with q.
 
 Why one table per desired index is exact. Let T_k be
-assign_common_randomness(identity_plan(params, k)): identity symbol
-orderings and seed 1, with any mutation applied at seed 1.
+scheme.canonical_table(params, k): identity symbol orderings and seed 1,
+with any mutation applied at seed 1.
 
-  * plan_with_perms(perms) is the identity plan with the symbols of each
-    message relabeled, because its take() reads nothing but perms. So
-    assign_common_randomness of that plan is T_k with the same symbol
-    relabeling and some pool relabeling tau that fixes index 1; tau comes
-    from tie-breaks in undesired_only_slots at N >= 3.
+  * select_query emits g.T_k by construction: it relabels the symbols of
+    T_k by the orderings it draws and its pool indices by
+    shift o variant o tau. tau fixes index 1 and depends on the orderings
+    alone: it is the reordering of mask slots whose ties the relabeled
+    terms break (identity at N <= 2).
   * At N >= 2, sample_variant is uniform on the bijections that fix 1, so
-    variant o tau is too, and shift_cell then moves 1 to the user's uniform
+    variant o tau is too, and the shift then moves 1 to the user's uniform
     index u. The emitted table is therefore g.T_k with g uniform on
     G = S_L^K x S_rs. At N = 1, L = 1, the variant is the identity and g is
     the cyclic shift by u - 1.
@@ -66,20 +66,21 @@ Audits:
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import ClassVar
 
-from .plan import SchemeParams, identity_plan, plan_with_perms
+from .plan import SchemeParams, plan_with_perms
 from .scheme import (
     Mutation,
     QueryTable,
     SpirRequest,
     apply_mutation,
     assign_common_randomness,
+    canonical_table,
     format_request,
     permute_nonseed,
     relabel_table,
@@ -236,14 +237,12 @@ def _render_table(table: QueryTable, length: int) -> str:
 # One representative table per desired index
 
 
-@functools.lru_cache(maxsize=256)
 def representative_table(
     params: SchemeParams, desired: int, mutation: Mutation | None = None
 ) -> QueryTable:
-    """T_k: identity symbol orderings and seed 1, with the mutation applied
-    at seed 1. Every table the user can emit for desired k is a relabeling of
-    it (module docstring)."""
-    table = assign_common_randomness(identity_plan(params, desired), params)
+    """T_k with the mutation applied at seed 1. Every table the user can
+    emit for desired k is a relabeling of it (module docstring)."""
+    table = canonical_table(params, desired)
     return table if mutation is None else apply_mutation(table, desired, 1, mutation)
 
 
@@ -251,12 +250,17 @@ def _coverage(params: SchemeParams, representatives: int) -> dict:
     return {"representatives": representatives, "outcomes": joint_space_outcomes(params)}
 
 
+def _count_text(count: int) -> str:
+    """The count itself up to 15 digits, four significant digits beyond."""
+    return str(count) if count < 10**15 else f"{Decimal(count):.3e}"
+
+
 def _passed(name: str, value: str, params: SchemeParams) -> AuditReport:
     coverage = _coverage(params, params.K)
     return AuditReport(
         name,
         True,
-        f"{value} on all {coverage['outcomes']} joint outcomes per desired index",
+        f"{value} on all {_count_text(coverage['outcomes'])} joint outcomes per desired index",
         details=coverage,
     )
 

@@ -147,6 +147,21 @@ def cmd_table(parser, args) -> int:
     return 0
 
 
+def _parse_endpoints(text: str, n_db: int) -> list[tuple[str, int]]:
+    """The --endpoints addresses; ValueError names the first malformed one."""
+    addresses = []
+    for part in (p.strip() for p in text.split(",")):
+        host, colon, port = part.rpartition(":")
+        if not colon or not host:
+            raise ValueError(f"{part!r} is not host:port")
+        if not port.isdecimal() or not 1 <= int(port) <= 65535:
+            raise ValueError(f"port {port!r} of {part!r} is not in 1..65535")
+        addresses.append((host, int(port)))
+    if len(addresses) != n_db:
+        raise ValueError(f"need {n_db} database addresses, got {len(addresses)}")
+    return addresses
+
+
 def cmd_retrieve(parser, args) -> int:
     master = Seed.from_text(args.seed)
     if args.endpoints:
@@ -156,6 +171,10 @@ def cmd_retrieve(parser, args) -> int:
             return _usage_error("--inject applies to in-process retrieval only, not to --endpoints")
         asked = _params(parser, args)
         try:
+            addresses = _parse_endpoints(args.endpoints, asked.N)
+        except ValueError as e:
+            return _usage_error(f"--endpoints: {e}")
+        try:
             params, user = load_user_file(args.user)
             if params != asked:
                 return _usage_error(
@@ -163,10 +182,6 @@ def cmd_retrieve(parser, args) -> int:
                     f"file's instance N={params.N} K={params.K} q={params.q}"
                 )
             _check_desired(parser, params, args.desired)
-            addresses = []
-            for part in args.endpoints.split(","):
-                host, _, port = part.strip().rpartition(":")
-                addresses.append((host, int(port)))
             transcript = run_client_retrieval(
                 addresses, params, args.desired, user, master.derive("query")
             )

@@ -9,7 +9,6 @@ become recoverable by subtraction.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import asdict, dataclass
 
@@ -145,11 +144,15 @@ def _check_desired(params: SchemeParams, desired: int) -> None:
         raise ValueError(f"desired index {desired} outside [1, {params.K}]")
 
 
+def sample_orderings(params: SchemeParams, rng: DrawStream) -> tuple[Permutation, ...]:
+    """One uniform symbol ordering per message, drawn message by message."""
+    return tuple(sample_permutation(params.L, rng) for _ in range(params.K))
+
+
 def build_pir_plan(params: SchemeParams, desired: int, rng: DrawStream) -> PirPlan:
     """Sample fresh symbol orderings and lay out the request structure."""
     _check_desired(params, desired)
-    perms = tuple(sample_permutation(params.L, rng) for _ in range(params.K))
-    return plan_with_perms(params, desired, perms)
+    return plan_with_perms(params, desired, sample_orderings(params, rng))
 
 
 def plan_with_perms(
@@ -170,10 +173,14 @@ def plan_with_perms(
     # order; round t reuses each of them once at every other database.
     side_prev: list[list[SymbolRequest]] = [[] for _ in range(n_db)]
 
-    for t in range(1, n_msg + 1):
+    # At N = 1 later rounds would need (N-1)^(t-1) = 0 undesired-only sums
+    # and a companion at another database, so round 1 is the whole plan.
+    rounds = n_msg if n_db > 1 else 1
+    for t in range(1, rounds + 1):
         side_this: list[list[SymbolRequest]] = [[] for _ in range(n_db)]
+        subsets = _ranked_subsets(n_msg, desired, t)
         for db in range(1, n_db + 1):
-            for subset in _ranked_subsets(n_msg, desired, t):
+            for subset in subsets:
                 if desired in subset:
                     if t == 1:
                         per_db[db - 1].append(SymbolRequest(((desired, take(desired)),)))
@@ -202,15 +209,14 @@ def plan_with_perms(
     return PirPlan(params=params, desired=desired, per_db=ordered)
 
 
-@functools.lru_cache(maxsize=256)
-def _ranked_subsets(n_msg: int, desired: int, t: int) -> tuple[tuple[int, ...], ...]:
-    """Every t-subset of the messages, ordered by ``subset_rank``."""
-    return tuple(
-        sorted(
-            itertools.combinations(range(1, n_msg + 1), t),
-            key=lambda sub: subset_rank(sub, desired, n_msg),
-        )
-    )
+def _ranked_subsets(n_msg: int, desired: int, t: int) -> list[tuple[int, ...]]:
+    """Every t-subset of the messages, ordered by ``subset_rank``: the
+    combinations of cyclic offsets from the desired index come out in that
+    order already."""
+    return [
+        tuple(sorted((desired - 1 + o) % n_msg + 1 for o in offsets))
+        for offsets in itertools.combinations(range(n_msg), t)
+    ]
 
 
 def _cyclic_others(db: int, n_db: int) -> list[int]:
@@ -229,15 +235,15 @@ def undesired_only_slots(plan: PirPlan) -> list[tuple[int, SymbolRequest]]:
         for r in reqs:
             if plan.desired not in r.messages():
                 slots.append((db, r))
-    slots.sort(
-        key=lambda item: (
-            item[1].size,
-            item[0],
-            subset_rank(item[1].messages(), plan.desired, plan.params.K),
-            item[1].terms,
-        )
-    )
+    slots.sort(key=lambda item: slot_key(item[0], item[1], plan.desired, plan.params.K))
     return slots
+
+
+def slot_key(db: int, req: SymbolRequest, desired: int, n_msg: int) -> tuple:
+    """Sort key of an undesired-only request among the mask slots: (size,
+    database, cyclic subset rank, terms). Only the terms break ties, between
+    requests over one subset at one database (N >= 3)."""
+    return (req.size, db, subset_rank(req.messages(), desired, n_msg), req.terms)
 
 
 def validate_pir_plan(plan: PirPlan, params: SchemeParams | None = None) -> list[str]:

@@ -12,28 +12,34 @@ retrieval plan whose requests each carry one pool index:
     companion answer cancels mask and side information together.
 
 A query is a QueryTable: one tuple of masked requests per database. The
-canonical table carries seed index 1; cycling the seed through the whole
-pool (shift_cell) and permuting the non-seed indices (permute_nonseed) make
+canonical table T_k (canonical_table) is the identity plan for desired
+index k with seed index 1. Every query select_query emits is one relabeling
+of T_k: each message's symbols by a uniform ordering, and the pool indices
+by a uniform bijection that carries the seed to the user's index (at
+N >= 2; at N = 1 by the cyclic shift alone). That relabeling is what makes
 the per-database query distribution independent of which message is
 desired.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
-from .fields import DrawStream, sample_permutation
+from .fields import DrawStream, Permutation, sample_permutation
 from .plan import (
     PirPlan,
     SchemeParams,
     SymbolRequest,
-    build_pir_plan,
+    build_pir_plan,  # noqa: F401  perfbench/tracing.py wraps scheme.build_pir_plan
     format_terms,
     identity_plan,
     request_sort_key,
+    sample_orderings,
+    slot_key,
     total_download,
     undesired_only_slots,
 )
@@ -130,12 +136,42 @@ def assign_common_randomness(plan: PirPlan, params: SchemeParams | None = None) 
     return tuple(tuple(x) for x in per_db)
 
 
+@functools.lru_cache(maxsize=256)
+def canonical_table(params: SchemeParams, desired: int) -> QueryTable:
+    """T_k: the seed-1 table of the identity plan for desired index k."""
+    return assign_common_randomness(identity_plan(params, desired), params)
+
+
+def _relabel_terms(
+    terms: tuple[tuple[int, int], ...], symbols: tuple[Permutation, ...]
+) -> SymbolRequest:
+    return SymbolRequest(tuple((m, symbols[m - 1][s - 1] + 1) for m, s in terms))
+
+
+def relabel(
+    table: QueryTable, pool: dict[int, int] | list[int], symbols: tuple[Permutation, ...] | None
+) -> QueryTable:
+    """Rename pool index i to pool[i] and, given symbols, symbol s of
+    message m to symbols[m - 1][s - 1] + 1, restoring each database's
+    canonical request order. Unmasked requests stay unmasked."""
+    out = []
+    for db_reqs in table:
+        reqs = [
+            SpirRequest(
+                sr.base if symbols is None else _relabel_terms(sr.terms, symbols),
+                None if sr.cr is None else pool[sr.cr],
+            )
+            for sr in db_reqs
+        ]
+        if symbols is not None:
+            reqs.sort(key=lambda sr: request_sort_key(sr.terms))
+        out.append(tuple(reqs))
+    return tuple(out)
+
+
 def relabel_table(table: QueryTable, mapping: dict[int, int]) -> QueryTable:
     """Rename every pool index by mapping; unmasked requests stay unmasked."""
-    return tuple(
-        tuple(SpirRequest(sr.base, None if sr.cr is None else mapping[sr.cr]) for sr in db_reqs)
-        for db_reqs in table
-    )
+    return relabel(table, mapping, None)
 
 
 def shift_mapping(rs_size: int, delta: int) -> dict[int, int]:
@@ -239,19 +275,44 @@ def select_query(
 ) -> QueryTable:
     """Build the query a user holding pool index user_cr_index transmits.
 
-    Fresh symbol orderings and a fresh non-seed relabeling are drawn from
-    rng; the table is then cycled so its seed lands on the user's index.
+    rng draws one symbol ordering per message, then (N >= 2) a relabeling
+    of the non-seed indices. The query is T_k relabeled once: symbols by
+    the orderings, pool indices by shift o variant o tau, where the shift
+    moves the seed to the user's index and tau is the relabeling that
+    assign_common_randomness would make on the plan with these orderings.
     """
     if not 1 <= user_cr_index <= params.rs_size:
         raise ValueError(f"user index {user_cr_index} outside [1, {params.rs_size}]")
-    plan = build_pir_plan(params, desired, rng)
-    table = assign_common_randomness(plan, params)
-    if params.N >= 2:
-        table = permute_nonseed(table, 1, sample_variant(params, rng))
-    table = shift_cell(table, user_cr_index - 1)
+    base = canonical_table(params, desired)
+    symbols = sample_orderings(params, rng)
+    tau = _slot_tie_breaks(params, desired, base, symbols) if params.N >= 3 else {}
+    variant = sample_variant(params, rng) if params.N >= 2 else {}
+    rs = params.rs_size
+    pool = [0]  # pool[i] is index i's new label; 0 pads the 1-based list
+    for i in range(1, rs + 1):
+        j = tau.get(i, i)
+        pool.append((variant.get(j, j) + user_cr_index - 2) % rs + 1)
+    table = relabel(base, pool, symbols)
     if mutation is not None:
         table = apply_mutation(table, desired, user_cr_index, mutation)
     return table
+
+
+def _slot_tie_breaks(
+    params: SchemeParams, desired: int, base: QueryTable, symbols: tuple[Permutation, ...]
+) -> dict[int, int]:
+    """tau: assign_common_randomness labels mask slots in slot_key order,
+    and at N >= 3 the terms break ties between slots over one subset at one
+    database, so relabeling the symbols can reorder those slots. tau maps
+    each slot's index in base to its index once its terms are relabeled."""
+    slots = [
+        (db, _relabel_terms(sr.terms, symbols), sr.cr)
+        for db, db_reqs in enumerate(base, start=1)
+        for sr in db_reqs
+        if desired not in sr.base.messages()
+    ]
+    slots.sort(key=lambda slot: slot_key(slot[0], slot[1], desired, params.K))
+    return {cr: label for (_, _, cr), label in zip(slots, nonseed_cycle(params, 1))}
 
 
 def measured_rates(params: SchemeParams) -> RateTriple:
@@ -325,10 +386,7 @@ def family_json(params: SchemeParams, families: Family) -> dict:
 
 def canonical_family(params: SchemeParams) -> Family:
     """Display family: identity orderings, every seed, every variant."""
-    base = {
-        desired: assign_common_randomness(identity_plan(params, desired), params)
-        for desired in range(1, params.K + 1)
-    }
+    base = {desired: canonical_table(params, desired) for desired in range(1, params.K + 1)}
     out: Family = {}
     for delta in range(params.rs_size):
         seed = delta + 1

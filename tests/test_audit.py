@@ -123,6 +123,21 @@ def test_audits_report_equal_coverage(n, k, representatives):
     assert [r.details["representatives"] for r in reports] == [representatives] * 4
 
 
+def test_large_outcome_counts_print_compactly():
+    # (3,3) has a 123-digit outcome count: the text gives four significant
+    # digits, the details and JSON keep the integer
+    p = SchemeParams.create(3, 3, 2)
+    outcomes = joint_space_outcomes(p)
+    assert len(str(outcomes)) == 123
+    report = reliability_audit(p)
+    assert report.line() == (
+        "PASS reliability: decode exact on all 1.592e+122 joint outcomes per desired index"
+    )
+    assert report.details["outcomes"] == report.to_dict()["details"]["outcomes"] == outcomes
+    assert audit._count_text(10**15 - 1) == "999999999999999"
+    assert audit._count_text(10**15) == "1.000e+15"
+
+
 def test_user_privacy_catches_seed_reuse():
     p = SchemeParams.create(1, 3, 2)
     report = user_privacy_audit(p, mutation="seed-reuse")

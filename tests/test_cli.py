@@ -98,6 +98,23 @@ def test_retrieve_endpoints_refuse_ignored_flags(capsys, tmp_path, flags):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("endpoints,reason", [
+    ("127.0.0.1:x,127.0.0.1:1", "port 'x' of '127.0.0.1:x' is not in 1..65535"),
+    ("foo,127.0.0.1:1", "'foo' is not host:port"),
+    ("127.0.0.1:70000,127.0.0.1:1", "port '70000' of '127.0.0.1:70000' is not in 1..65535"),
+    ("127.0.0.1:0,127.0.0.1:1", "port '0' of '127.0.0.1:0' is not in 1..65535"),
+    ("127.0.0.1:1", "need 2 database addresses, got 1"),
+], ids=["non-numeric-port", "no-port", "port-above-65535", "port-zero", "one-address"])
+def test_retrieve_malformed_endpoints_are_usage_errors(capsys, tmp_path, endpoints, reason):
+    code, out, _ = run(capsys, "provision", "--n", "2", "--k", "2", "--out", str(tmp_path))
+    user_path = out.splitlines()[1].split(":", 1)[1].strip()
+    code, out, err = run(capsys, "retrieve", "--n", "2", "--k", "2", "--desired", "1",
+                         "--user", user_path, "--endpoints", endpoints)
+    assert code == 2  # refused before any connection is tried
+    assert out == ""
+    assert err == f"--endpoints: {reason}\n"
+
+
 def test_retrieve_endpoints_need_user(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["retrieve", "--n", "2", "--k", "2", "--desired", "1",

@@ -12,8 +12,10 @@ from spircr.plan import (
     cr_pool_size,
     identity_plan,
     message_length,
+    subset_rank,
     total_download,
     validate_pir_plan,
+    _ranked_subsets,
 )
 from spircr.scheme import assign_common_randomness, table_lines
 
@@ -135,6 +137,28 @@ def test_plan_decodable_by_elimination(n, k):
         unit = [0] * cols
         unit[(2 - 1) * p.L + i] = 1
         assert in_span(rows, unit, q)
+
+
+def test_ranked_subsets_match_the_subset_rank_sort():
+    # the combinations of cyclic offsets come out in subset_rank order
+    for k in range(1, 10):
+        for desired in range(1, k + 1):
+            for t in range(1, k + 1):
+                want = sorted(
+                    itertools.combinations(range(1, k + 1), t),
+                    key=lambda sub: subset_rank(sub, desired, k),
+                )
+                assert list(_ranked_subsets(k, desired, t)) == want, (k, desired, t)
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_single_db_plan_is_the_one_sums(k):
+    # N = 1 stops after round 1: every message once, as a bare 1-sum
+    p = SchemeParams.create(1, k, 2)
+    for desired in range(1, k + 1):
+        plan = identity_plan(p, desired)
+        assert [r.terms for r in plan.per_db[0]] == [((m, 1),) for m in range(1, k + 1)]
+        assert validate_pir_plan(plan) == []
 
 
 def test_determinism():

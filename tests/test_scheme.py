@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from spircr.fields import Seed, SeededStream
-from spircr.plan import PirPlan, SchemeParams, identity_plan, validate_pir_plan
+from spircr.plan import PirPlan, SchemeParams, build_pir_plan, identity_plan, validate_pir_plan
 from spircr.scheme import (
     MUTATIONS,
     SchemeError,
@@ -15,6 +15,7 @@ from spircr.scheme import (
     family_json,
     measured_rates,
     permute_nonseed,
+    sample_variant,
     select_query,
     shift_cell,
     variant_count,
@@ -165,6 +166,41 @@ def test_select_query_determinism():
     p = SchemeParams.create(2, 3, 2)
     assert select_query(p, 2, 4, stream("det")) == select_query(p, 2, 4, stream("det"))
     assert select_query(p, 2, 4, stream("det")) != select_query(p, 2, 4, stream("det2"))
+
+
+def _composed_query(p, desired, u, rng):
+    """The honest query as the public steps compose it: build the plan with
+    drawn orderings, mask it at seed 1, draw a non-seed variant (N >= 2),
+    shift the seed to u."""
+    table = assign_common_randomness(build_pir_plan(p, desired, rng), p)
+    if p.N >= 2:
+        table = permute_nonseed(table, 1, sample_variant(p, rng))
+    return shift_cell(table, u - 1)
+
+
+@pytest.mark.parametrize("n,k", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)])
+def test_select_query_relabels_like_the_composed_steps(n, k):
+    # one relabeling of the cached T_k must give the composed table byte
+    # for byte and consume the same draws; N >= 3 exercises the slot
+    # tie-breaks (tau)
+    p = SchemeParams.create(n, k, 2)
+    mutations = [m for m in MUTATIONS if n >= 2 or m != "bare-companion"]
+    for seed in range(20):
+        label = f"relabel-{n}-{k}-{seed}"
+        for desired in range(1, k + 1):
+            for u in range(1, p.rs_size + 1):
+                theirs = stream(label)
+                composed = _composed_query(p, desired, u, theirs)
+                after = theirs.randrange(1 << 30)
+                for mutation in (None, *mutations):
+                    ours = stream(label)
+                    want = composed if mutation is None else apply_mutation(
+                        composed, desired, u, mutation
+                    )
+                    assert select_query(p, desired, u, ours, mutation) == want, (
+                        seed, desired, u, mutation
+                    )
+                    assert ours.randrange(1 << 30) == after
 
 
 def test_measured_rates_golden():
