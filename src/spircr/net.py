@@ -3,9 +3,17 @@
 The dealer writes one state file shared verbatim by all databases (message
 store plus mask pool) and one small user file holding only the user's own
 (index, value) pool entry. Servers answer queries over the framed protocol;
-the client decodes locally. State files are meant for a single retrieval:
-reusing a pool across retrievals is unsupported and weakens the masking
-guarantees.
+the client decodes locally.
+
+A server answers a QUERY frame in one pass from its octets to the columns
+of X each request sums (wire.decode_query_payload), and admits it only in
+the scheme's shape: the client's params are the server's, exactly rs
+requests, every one masked, the masks a permutation of 1..rs, requests
+strictly increasing in canonical order, no (message, symbol) in two
+requests, and (N-1)^(t-1) requests over each t-subset of the messages. A
+refused query gets an ERROR frame naming the rule, and the connection keeps
+serving. Nothing yet stops one pool from answering many retrievals, which
+weakens the masking guarantees: state files are meant for one retrieval.
 
 The client holds one connection per database in a ``ClientSession`` and
 reuses it for every retrieval a process makes against the same addresses.
@@ -20,6 +28,7 @@ state, as little-endian u32: messages row by row, then the pool.
 from __future__ import annotations
 
 import json
+import select
 import socket
 import socketserver
 import struct
@@ -32,7 +41,6 @@ from .plan import SchemeParams
 from .scheme import select_query
 from .sim import (
     DatabaseState,
-    SimError,
     Transcript,
     UserRandomness,
     answer_query,
@@ -41,8 +49,8 @@ from .sim import (
 )
 from .wire import (
     Frame,
+    FrameReader,
     FrameType,
-    ParamsEcho,
     WireError,
     decode_answer_payload,
     decode_error_payload,
@@ -159,19 +167,16 @@ class _Handler(socketserver.BaseRequestHandler):
         server: DatabaseServer = self.server  # type: ignore[assignment]
         sock: socket.socket = self.request
         sock.settimeout(30.0)
+        reader = FrameReader(sock)
         while True:
             try:
-                frame = read_frame(sock)
+                frame = reader.read()
             except (WireError, OSError):
                 return
             if frame is None:
                 return
             try:
-                reply = server.handle_frame(frame)
-            except WireError as e:
-                reply = Frame(FrameType.ERROR, encode_error_payload(str(e)))
-            try:
-                write_frame(sock, reply)
+                write_frame(sock, server.handle_frame(frame))
             except OSError:
                 return
 
@@ -225,27 +230,19 @@ class DatabaseServer(socketserver.ThreadingTCPServer):
             self._open.discard(sock)
 
     def handle_frame(self, frame: Frame) -> Frame:
+        """The reply to one frame: ANSWER to an admitted QUERY, else ERROR."""
+        if frame.ftype == FrameType.QUERY:
+            try:
+                columns = decode_query_payload(frame.payload, self.state.params)
+            except WireError as e:
+                return Frame(FrameType.ERROR, encode_error_payload(str(e)))
+            return Frame(FrameType.ANSWER, encode_answer_payload(answer_query(columns, self.state)))
         if frame.ftype == FrameType.HELLO:
             return Frame(FrameType.HELLO, b"")
-        if frame.ftype != FrameType.QUERY:
-            return Frame(
-                FrameType.ERROR,
-                encode_error_payload(f"unexpected frame type {frame.ftype.name}"),
-            )
-        echo, requests = decode_query_payload(frame.payload)
-        params = self.state.params
-        if echo != ParamsEcho.of(params):
-            return Frame(
-                FrameType.ERROR,
-                encode_error_payload(
-                    f"parameter mismatch: client {echo}, server {ParamsEcho.of(params)}"
-                ),
-            )
-        try:
-            values = answer_query(requests, self.state)
-        except SimError as e:
-            return Frame(FrameType.ERROR, encode_error_payload(str(e)))
-        return Frame(FrameType.ANSWER, encode_answer_payload(values))
+        return Frame(
+            FrameType.ERROR,
+            encode_error_payload(f"unexpected frame type {frame.ftype.name}"),
+        )
 
     def start(self) -> "DatabaseServer":
         self._thread = threading.Thread(
@@ -286,6 +283,7 @@ class ClientSession:
 
     def __init__(self, addresses: tuple[tuple[str, int], ...], timeout: float):
         self.addresses = addresses
+        self.timeout = timeout
         self._socks: list[socket.socket] = []
         try:
             for address in addresses:
@@ -295,24 +293,21 @@ class ClientSession:
         except OSError as e:
             self.close()
             raise NetError(f"transport failure talking to {_where(address)}: {e}") from e
-
-    def alive(self, timeout: float) -> bool:
-        """True if no database closed its idle connection or wrote to it.
-
-        Peeks without blocking, then restores ``timeout`` on the socket.
-        """
+        self._idle_poll = select.poll()
         for sock in self._socks:
-            sock.settimeout(0)
-            try:
-                sock.recv(1, socket.MSG_PEEK)  # b"" is EOF; any octet is stray
-                return False
-            except BlockingIOError:
-                pass
-            except OSError:
-                return False
-            finally:
+            self._idle_poll.register(sock, select.POLLIN)
+
+    def alive(self) -> bool:
+        """True if no database closed its idle connection or wrote to it:
+        EOF, stray octets and socket errors all show as poll events."""
+        return not self._idle_poll.poll(0)
+
+    def settimeout(self, timeout: float) -> None:
+        """Use timeout on every socket from now on."""
+        if timeout != self.timeout:
+            for sock in self._socks:
                 sock.settimeout(timeout)
-        return True
+            self.timeout = timeout
 
     def exchange(self, frames: list[Frame]) -> list[Frame]:
         """Write frames[i] to database i for every i, then read each reply."""
@@ -350,7 +345,8 @@ def _checkout(addresses: tuple[tuple[str, int], ...], timeout: float) -> ClientS
     with _idle_lock:
         session = _idle.pop(addresses, None)
     if session is not None:
-        if session.alive(timeout):
+        if session.alive():
+            session.settimeout(timeout)
             return session
         session.close()
     return ClientSession(addresses, timeout)

@@ -9,6 +9,7 @@ become recoverable by subtraction.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import asdict, dataclass
 
@@ -246,6 +247,33 @@ def slot_key(db: int, req: SymbolRequest, desired: int, n_msg: int) -> tuple:
     return (req.size, db, subset_rank(req.messages(), desired, n_msg), req.terms)
 
 
+@functools.lru_cache(maxsize=256)
+def subset_counts(params: SchemeParams) -> dict[tuple[int, ...], int]:
+    """How many requests over each message subset one database's query
+    holds: (N-1)^(t-1) per t-subset, so at N = 1 each 1-sum once and
+    nothing larger. Subsets that get none are left out. Read only."""
+    return {
+        subset: (params.N - 1) ** (t - 1)
+        for t in range(1, params.K + 1)
+        if params.N > 1 or t == 1
+        for subset in itertools.combinations(range(1, params.K + 1), t)
+    }
+
+
+def subset_count_problems(
+    params: SchemeParams, counts: dict[tuple[int, ...], int]
+) -> list[str]:
+    """One line per message subset, in subset order, whose count of
+    requests at one database differs from subset_counts."""
+    want = subset_counts(params)
+    return [
+        f"subset {subset} has {counts.get(subset, 0)} requests, expected {want.get(subset, 0)}"
+        for t in range(1, params.K + 1)
+        for subset in itertools.combinations(range(1, params.K + 1), t)
+        if counts.get(subset, 0) != want.get(subset, 0)
+    ]
+
+
 def validate_pir_plan(plan: PirPlan, params: SchemeParams | None = None) -> list[str]:
     """Structural checks; returns human-readable violations (empty = valid)."""
     params = params or plan.params
@@ -263,14 +291,7 @@ def validate_pir_plan(plan: PirPlan, params: SchemeParams | None = None) -> list
                     problems.append(f"db{db}: message index {m} out of range")
                 if not 1 <= s <= length:
                     problems.append(f"db{db}: symbol index {s} out of range")
-        for t in range(1, n_msg + 1):
-            want = (n_db - 1) ** (t - 1)
-            for subset in itertools.combinations(range(1, n_msg + 1), t):
-                got = counts.get(subset, 0)
-                if got != want:
-                    problems.append(
-                        f"db{db}: subset {subset} has {got} requests, expected {want}"
-                    )
+        problems.extend(f"db{db}: {p}" for p in subset_count_problems(params, counts))
 
     desired_seen: set[int] = set()
     undesired_seen: dict[tuple[int, int], tuple[int, SymbolRequest]] = {}

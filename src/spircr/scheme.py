@@ -144,8 +144,8 @@ def canonical_table(params: SchemeParams, desired: int) -> QueryTable:
 
 def _relabel_terms(
     terms: tuple[tuple[int, int], ...], symbols: tuple[Permutation, ...]
-) -> SymbolRequest:
-    return SymbolRequest(tuple((m, symbols[m - 1][s - 1] + 1) for m, s in terms))
+) -> tuple[tuple[int, int], ...]:
+    return tuple([(m, symbols[m - 1][s - 1] + 1) for m, s in terms])
 
 
 def relabel(
@@ -156,15 +156,18 @@ def relabel(
     canonical request order. Unmasked requests stay unmasked."""
     out = []
     for db_reqs in table:
-        reqs = [
-            SpirRequest(
-                sr.base if symbols is None else _relabel_terms(sr.terms, symbols),
-                None if sr.cr is None else pool[sr.cr],
+        if symbols is None:
+            reqs = [SpirRequest(sr.base, None if sr.cr is None else pool[sr.cr]) for sr in db_reqs]
+        else:
+            # request_sort_key, then the position in db_reqs so no two keys tie
+            keyed = sorted(
+                (len(sr.base.terms), _relabel_terms(sr.base.terms, symbols), i, sr.cr)
+                for i, sr in enumerate(db_reqs)
             )
-            for sr in db_reqs
-        ]
-        if symbols is not None:
-            reqs.sort(key=lambda sr: request_sort_key(sr.terms))
+            reqs = [
+                SpirRequest(SymbolRequest(terms), None if cr is None else pool[cr])
+                for _, terms, _, cr in keyed
+            ]
         out.append(tuple(reqs))
     return tuple(out)
 
@@ -224,9 +227,9 @@ def variant_count(params: SchemeParams) -> int:
 def sample_variant(params: SchemeParams, rng: DrawStream) -> dict[int, int]:
     """A uniform relabeling of the non-seed indices of a seed-1 table; only
     N >= 2 draws one (variant_mappings)."""
-    cycle = nonseed_cycle(params, 1)
-    p = sample_permutation(len(cycle), rng)
-    return {cycle[i]: cycle[p[i]] for i in range(len(cycle))}
+    # the non-seed indices of a seed-1 table are 2..rs in cyclic order
+    p = sample_permutation(params.rs_size - 1, rng)
+    return {i + 2: j + 2 for i, j in enumerate(p)}
 
 
 def apply_mutation(table: QueryTable, desired: int, seed: int, mutation: Mutation) -> QueryTable:
@@ -306,7 +309,7 @@ def _slot_tie_breaks(
     database, so relabeling the symbols can reorder those slots. tau maps
     each slot's index in base to its index once its terms are relabeled."""
     slots = [
-        (db, _relabel_terms(sr.terms, symbols), sr.cr)
+        (db, SymbolRequest(_relabel_terms(sr.terms, symbols)), sr.cr)
         for db, db_reqs in enumerate(base, start=1)
         for sr in db_reqs
         if desired not in sr.base.messages()
@@ -315,6 +318,7 @@ def _slot_tie_breaks(
     return {cr: label for (_, _, cr), label in zip(slots, nonseed_cycle(params, 1))}
 
 
+@functools.lru_cache(maxsize=256)
 def measured_rates(params: SchemeParams) -> RateTriple:
     """Exact per-symbol costs of the scheme at these parameters."""
     return RateTriple(

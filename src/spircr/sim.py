@@ -33,12 +33,18 @@ class DecodeError(SimError):
     pass
 
 
+def column_bases(params: SchemeParams) -> tuple[int, int]:
+    """(offset, pool_base): in X, W_m[s] is column m * L + s + offset and
+    S_i is column pool_base + i."""
+    return -params.L - 1, params.K * params.L - 1
+
+
 def message_column(params: SchemeParams, message: int, symbol: int) -> int:
-    return (message - 1) * params.L + symbol - 1
+    return message * params.L + symbol + column_bases(params)[0]
 
 
 def pool_column(params: SchemeParams, index: int) -> int:
-    return params.K * params.L + index - 1
+    return column_bases(params)[1] + index
 
 
 def request_columns(params: SchemeParams, sr: SpirRequest) -> list[int]:
@@ -114,10 +120,16 @@ def deal(
     )
 
 
-def answer_query(requests: tuple[SpirRequest, ...], state: DatabaseState) -> tuple[int, ...]:
-    """Evaluate each request: the sum of X at its columns, mod q."""
-    params, symbol = state.params, state.x.__getitem__
-    return tuple([sum(map(symbol, request_columns(params, sr))) % params.q for sr in requests])
+def answer_query(columns: list[list[int]], state: DatabaseState) -> tuple[int, ...]:
+    """Evaluate each request from its columns (request_columns, or the
+    server's decode_query_payload): the sum of X at them, mod q."""
+    x, q = state.x, state.params.q
+    return tuple([sum([x[c] for c in cols]) % q for cols in columns])
+
+
+def query_columns(params: SchemeParams, requests: tuple[SpirRequest, ...]) -> list[list[int]]:
+    """request_columns of each request of one database's query, in order."""
+    return [request_columns(params, sr) for sr in requests]
 
 
 DecodeStep = tuple[int, int, int | None]
@@ -135,35 +147,33 @@ def decode_plan(
     the companion answer found at another database, which carries the same
     mask and the same side information.
     """
-    position: dict[tuple, int] = {}
-    origin: dict[tuple, int] = {}
+    # (terms, cr) of each undesired-only request -> (position, database);
+    # only such a request can be a companion
+    companions: dict[tuple, tuple[int, int]] = {}
+    carriers = []  # (database, position, terms, cr, desired symbol)
     pos = 0
     for db, reqs in enumerate(query, start=1):
         for sr in reqs:
-            position[(sr.terms, sr.cr)] = pos
-            origin[(sr.terms, sr.cr)] = db
+            terms = sr.base.terms
+            for m, s in terms:
+                if m == desired:
+                    carriers.append((db, pos, terms, sr.cr, s))
+                    break
+            else:
+                companions[(terms, sr.cr)] = (pos, db)
             pos += 1
 
     steps: list[DecodeStep] = []
-    for db, reqs in enumerate(query, start=1):
-        for sr in reqs:
-            if desired not in sr.base.messages():
-                continue
-            sym = sr.base.symbol_of(desired)
-            source = position[(sr.terms, sr.cr)]
-            if sr.size == 1:
-                if sr.cr != user_index:
-                    raise DecodeError(
-                        f"desired 1-sum masked with S{sr.cr}, user holds S{user_index}"
-                    )
-                steps.append((sym, source, None))
-            else:
-                key = (sr.base.without(desired).terms, sr.cr)
-                if key not in position or origin[key] == db:
-                    raise DecodeError(
-                        f"no companion answer for a {sr.size}-sum at db{db}"
-                    )
-                steps.append((sym, source, position[key]))
+    for db, source, terms, cr, sym in carriers:
+        if len(terms) == 1:
+            if cr != user_index:
+                raise DecodeError(f"desired 1-sum masked with S{cr}, user holds S{user_index}")
+            steps.append((sym, source, None))
+        else:
+            found = companions.get((tuple([t for t in terms if t[0] != desired]), cr))
+            if found is None or found[1] == db:
+                raise DecodeError(f"no companion answer for a {len(terms)}-sum at db{db}")
+            steps.append((sym, source, found[0]))
 
     missing = sorted(set(range(1, params.L + 1)) - {sym for sym, _, _ in steps})
     if missing:
@@ -261,7 +271,7 @@ def run_retrieval(
     """
     state, user = deal(params, seeds.messages, seeds.pool, seeds.user)
     query = select_query(params, desired, user.index, SeededStream(seeds.query), mutation)
-    answers = tuple(answer_query(reqs, state) for reqs in query)
+    answers = tuple(answer_query(query_columns(params, reqs), state) for reqs in query)
     transcript = build_transcript(
         params,
         desired,

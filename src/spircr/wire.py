@@ -12,20 +12,37 @@ Query payload:
     N:u16 K:u16 q:u32 L:u32 count:u32, then per request
     term_count:u16, term_count * (message:u16 symbol:u32), cr:u32
 
-cr = 0 encodes an unmasked request (only fault-injected queries emit one).
+cr = 0 encodes an unmasked request. The encoder writes one for a
+fault-injected table (audit.orbit_key encodes those), but no server admits
+it: decode_query_payload admits one database's query only if it has the
+scheme's shape, which is every rule the one-time pad of the shared pool
+needs (Sun and Jafar, arXiv 1606.08828):
+
+  * the client's N, K, q and L are the server's;
+  * exactly rs requests, each masked (cr != 0), the masks a permutation of
+    1..rs, so no mask is shared;
+  * requests strictly increasing in canonical order, terms strictly
+    increasing by message inside each;
+  * no (message, symbol) in two requests;
+  * (N-1)^(t-1) requests over each t-subset of the messages
+    (plan.subset_counts, the count validate_pir_plan checks).
+
 Answer payload: count:u32 then count * value:u32. Error payload: UTF-8 text.
-Decoding rejects anything malformed with a WireError and never raises
-anything else, whatever the input octets.
+Decoding rejects anything malformed or refused with a WireError naming the
+first field or rule that fails, and never raises anything else, whatever
+the input octets.
 """
 from __future__ import annotations
 
 import socket
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .plan import SchemeParams, SymbolRequest, request_sort_key
+from .plan import SchemeParams, format_terms, subset_count_problems, subset_counts
 from .scheme import SpirRequest
+from .sim import column_bases
 
 MAGIC = b"SPIR"
 VERSION = 1
@@ -36,6 +53,8 @@ _QUERY_HEAD = struct.Struct(">HHII")
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _TERM = struct.Struct(">HI")
+# Octets one recv asks for; a longer frame takes more than one.
+_RECV_SIZE = 1 << 16
 
 
 class FrameType(IntEnum):
@@ -54,20 +73,6 @@ class WireError(Exception):
 class Frame:
     ftype: FrameType
     payload: bytes
-
-
-@dataclass(frozen=True)
-class ParamsEcho:
-    """Instance shape echoed in every query so mismatches fail loudly."""
-
-    N: int
-    K: int
-    q: int
-    L: int
-
-    @classmethod
-    def of(cls, params: SchemeParams) -> "ParamsEcho":
-        return cls(params.N, params.K, params.q, params.L)
 
 
 def encode_frame(frame: Frame) -> bytes:
@@ -116,29 +121,58 @@ def encode_query_payload(params: SchemeParams, requests: tuple[SpirRequest, ...]
     return b"".join(out)
 
 
-def decode_query_payload(data: bytes) -> tuple[ParamsEcho, tuple[SpirRequest, ...]]:
-    """Parse and validate a query payload, enforcing canonical order.
+def _check_terms(fields, n_msg: int, length: int) -> None:
+    """Raise on the first term of (m1, s1, m2, s2, ...[, cr]) out of range."""
+    for i in range(0, len(fields) - 1, 2):
+        m, s = fields[i], fields[i + 1]
+        if not 1 <= m <= n_msg:
+            raise WireError(f"message index {m} outside [1, {n_msg}]")
+        if not 1 <= s <= length:
+            raise WireError(f"symbol index {s} outside [1, {length}]")
 
-    One pass over the octets: each request's terms come from one
-    ``iter_unpack`` over its term block. Checks run in field order, so the
-    first malformed field names the error whatever follows it.
+
+def _shape(n_db: int, n_msg: int, q: int, length: int) -> str:
+    return f"N={n_db} K={n_msg} q={q} L={length}"
+
+
+def decode_query_payload(data: bytes, params: SchemeParams) -> list[list[int]]:
+    """Parse, check and admit one database's query against the server's
+    params: for each request in order, the columns of X it sums, its terms
+    then its mask (what sim.request_columns gives).
+
+    One pass over the octets, one struct unpack per request. Checks run in
+    field order, so the first malformed field names the error whatever
+    follows it; the rules that span requests (shared masks, repeated
+    symbols, subset counts) are checked once the payload is whole.
     """
     size = len(data)
     if size < _QUERY_HEAD.size:
         raise WireError("payload truncated")
     n_db, n_msg, q, length = _QUERY_HEAD.unpack_from(data)
     if n_db < 1 or n_msg < 1 or q < 2 or length < 1:
-        raise WireError(f"implausible parameters N={n_db} K={n_msg} q={q} L={length}")
+        raise WireError(f"implausible parameters {_shape(n_db, n_msg, q, length)}")
+    if (n_db, n_msg, q, length) != (params.N, params.K, params.q, params.L):
+        raise WireError(
+            f"parameter mismatch: client {_shape(n_db, n_msg, q, length)}, "
+            f"server {_shape(params.N, params.K, params.q, params.L)}"
+        )
     pos = _QUERY_HEAD.size + _U32.size
     if pos > size:
         raise WireError("payload truncated")
     (count,) = _U32.unpack_from(data, _QUERY_HEAD.size)
     if count > MAX_PAYLOAD // _TERM.size:
         raise WireError(f"implausible request count {count}")
-    view = memoryview(data)
-    requests = []
-    in_order = True
-    prev_key = request_sort_key(())
+    rs = params.rs_size
+    if count != rs:
+        raise WireError(f"{count} requests, expected {rs}: one per pool index")
+    # every message subset the query may sum over is a key, so one lookup
+    # checks a request's messages for range and strict order
+    want = subset_counts(params)
+    counts: dict[tuple[int, ...], int] = {}
+    offset, pool_base = column_bases(params)
+    columns = []
+    every = []  # all columns of all requests: terms and masks never share one
+    prev_tc, prev_terms = 0, ()
     for _ in range(count):
         if pos + _U16.size > size:
             raise WireError("payload truncated")
@@ -146,31 +180,50 @@ def decode_query_payload(data: bytes) -> tuple[ParamsEcho, tuple[SpirRequest, ..
         pos += _U16.size
         if tc < 1:
             raise WireError("request with zero terms")
-        whole = min(tc, (size - pos) // _TERM.size)
-        terms = tuple(_TERM.iter_unpack(view[pos : pos + whole * _TERM.size]))
-        for m, s in terms:
-            if not 1 <= m <= n_msg:
-                raise WireError(f"message index {m} outside [1, {n_msg}]")
-            if not 1 <= s <= length:
-                raise WireError(f"symbol index {s} outside [1, {length}]")
-        pos += tc * _TERM.size
-        if whole < tc or pos + _U32.size > size:
+        end = pos + tc * _TERM.size + _U32.size
+        if end > size:
+            whole = min(tc, (size - pos) // _TERM.size)
+            _check_terms(struct.unpack_from(">" + "HI" * whole, data, pos), n_msg, length)
             raise WireError("payload truncated")
-        (cr,) = _U32.unpack_from(data, pos)
-        pos += _U32.size
-        try:
-            base = SymbolRequest(terms)
-        except ValueError:  # terms not strictly increasing by message
-            raise WireError("request terms not in canonical message order") from None
-        key = request_sort_key(terms)
-        in_order = in_order and prev_key <= key
-        prev_key = key
-        requests.append(SpirRequest(base, None if cr == 0 else cr))
+        fields = struct.unpack_from(">" + "HI" * tc + "I", data, pos)
+        pos = end
+        messages = fields[0:-1:2]
+        symbols = fields[1:-1:2]
+        if messages not in want or min(symbols) < 1 or max(symbols) > length:
+            _check_terms(fields, n_msg, length)
+            if any(a >= b for a, b in zip(messages, messages[1:])):
+                raise WireError("request terms not in canonical message order")
+            # what is left is a subset the query never sums: counted below
+        terms = fields[:-1]
+        if tc < prev_tc or (tc == prev_tc and terms <= prev_terms):
+            reason = "requests not in canonical sorted order"
+            if terms == prev_terms:
+                reason += f": {format_terms(tuple(zip(messages, symbols)))} twice"
+            raise WireError(reason)
+        prev_tc, prev_terms = tc, terms
+        cr = fields[-1]
+        if cr == 0:
+            raise WireError("unmasked request: every request carries a pool index")
+        if cr > rs:
+            raise WireError(f"mask index {cr} outside [1, {rs}]")
+        counts[messages] = counts.get(messages, 0) + 1
+        cols = [m * length + s + offset for m, s in zip(messages, symbols)]
+        cols.append(pool_base + cr)
+        columns.append(cols)
+        every += cols
     if pos != size:
         raise WireError(f"{size - pos} trailing octets in payload")
-    if not in_order:
-        raise WireError("requests not in canonical sorted order")
-    return ParamsEcho(n_db, n_msg, q, length), tuple(requests)
+    if len(set(every)) != len(every):
+        masks = Counter(cols[-1] - pool_base for cols in columns)
+        (shared, n), = masks.most_common(1)
+        if n > 1:
+            raise WireError(f"pool index {shared} masks {n} requests: each masks one")
+        (col, _), = Counter(every).most_common(1)
+        m, s = divmod(col - offset - 1, length)
+        raise WireError(f"symbol W{m}[{s + 1}] in two requests")
+    if counts != want:
+        raise WireError(f"wrong query shape: {subset_count_problems(params, counts)[0]}")
+    return columns
 
 
 def encode_answer_payload(values: tuple[int, ...]) -> bytes:
@@ -213,6 +266,40 @@ def read_frame(sock: socket.socket) -> Frame | None:
 
 def write_frame(sock: socket.socket, frame: Frame) -> None:
     sock.sendall(encode_frame(frame))
+
+
+class FrameReader:
+    """Reads frames from one socket, with one recv per frame when the frame
+    arrives whole. Octets past a frame (a pipelined next one) wait in the
+    reader for the next read."""
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self._pending = b""
+
+    def read(self) -> Frame | None:
+        """The next frame; None on clean EOF at a frame boundary."""
+        buf = self._pending
+        while len(buf) < _HEADER.size:
+            chunk = self._sock.recv(_RECV_SIZE)
+            if not chunk:
+                if not buf:
+                    return None
+                raise WireError(
+                    f"connection closed mid-frame ({len(buf)} of {_HEADER.size} octets)"
+                )
+            buf += chunk
+        kind, length = _frame_header(buf)
+        end = _HEADER.size + length
+        while len(buf) < end:
+            chunk = self._sock.recv(max(end - len(buf), _RECV_SIZE))
+            if not chunk:
+                raise WireError(
+                    f"connection closed mid-frame ({len(buf) - _HEADER.size} of {length} octets)"
+                )
+            buf += chunk
+        self._pending = buf[end:]
+        return Frame(kind, buf[_HEADER.size : end])
 
 
 def _read_exact(sock: socket.socket, n: int, *, allow_eof: bool) -> bytes | None:

@@ -39,7 +39,14 @@ from spircr.scheme import (
     shift_cell,
     variant_mappings,
 )
-from spircr.sim import DatabaseState, DecodeError, UserRandomness, answer_query, decode
+from spircr.sim import (
+    DatabaseState,
+    DecodeError,
+    UserRandomness,
+    answer_query,
+    decode,
+    query_columns,
+)
 
 
 def test_distribution_invariants():
@@ -238,7 +245,7 @@ def _brute_force(params, desired, seed, table):
         messages = tuple(x[m * length:(m + 1) * length] for m in range(k))
         pool = x[k * length:]
         state = DatabaseState(params, x)
-        answers = tuple(answer_query(reqs, state) for reqs in table)
+        answers = tuple(answer_query(query_columns(params, reqs), state) for reqs in table)
         try:
             right = decode(params, desired, table, answers, UserRandomness(seed, pool[seed - 1]))
             right = right == messages[desired - 1]

@@ -18,13 +18,14 @@ from spircr.net import (
     serve_database,
 )
 from spircr.plan import SchemeParams
-from spircr.scheme import select_query
+from spircr.scheme import SpirRequest, select_query
 from spircr.sim import RetrievalSeeds, deal, run_retrieval
 from spircr.wire import (
     Frame,
     FrameType,
     WireError,
     encode_error_payload,
+    encode_frame,
     encode_query_payload,
     read_frame,
     write_frame,
@@ -171,6 +172,36 @@ def test_out_of_range_cr_gets_error(served):
         reply = read_frame(sock)
     assert reply.ftype == FrameType.ERROR
     assert b"outside" in reply.payload
+
+
+def test_refused_queries_get_errors_then_the_connection_answers(served):
+    params, master, user_path, addresses = served
+    _, user = load_user_file(user_path)
+    query = select_query(params, 1, user.index, SeededStream(master.derive("query")))
+    honest = query[0]
+    unmasked = honest[:-1] + (SpirRequest(honest[-1].base, None),)
+    shared = honest[:-1] + (SpirRequest(honest[-1].base, honest[0].cr),)
+    with socket.create_connection(addresses[0]) as sock:
+        for reqs, reason in [(unmasked, b"unmasked request"), (shared, b"masks 2 requests")]:
+            write_frame(sock, Frame(FrameType.QUERY, encode_query_payload(params, reqs)))
+            reply = read_frame(sock)
+            assert reply.ftype == FrameType.ERROR
+            assert reason in reply.payload
+        write_frame(sock, Frame(FrameType.QUERY, encode_query_payload(params, honest)))
+        assert read_frame(sock).ftype == FrameType.ANSWER
+
+
+def test_pipelined_frames_are_each_answered(served):
+    # two frames in one write: the server keeps the octets of the second
+    # while it answers the first
+    params, master, user_path, addresses = served
+    _, user = load_user_file(user_path)
+    query = select_query(params, 1, user.index, SeededStream(master.derive("query")))
+    frame = encode_frame(Frame(FrameType.QUERY, encode_query_payload(params, query[0])))
+    with socket.create_connection(addresses[0]) as sock:
+        sock.sendall(frame + encode_frame(Frame(FrameType.HELLO, b"")) + frame)
+        kinds = [read_frame(sock).ftype for _ in range(3)]
+    assert kinds == [FrameType.ANSWER, FrameType.HELLO, FrameType.ANSWER]
 
 
 def test_unexpected_frame_type_gets_error(served):
@@ -364,6 +395,16 @@ def test_pooled_retrieval_against_stopped_servers_fails(pair):
     pair.stop()
     with pytest.raises(NetError):
         pair.retrieve(2, "stopped")
+
+
+def test_reused_session_takes_each_callers_timeout(pair):
+    key = tuple(pair.addresses)
+    for timeout, label in ((3.0, "first"), (7.0, "second"), (3.0, "third")):
+        run_client_retrieval(
+            pair.addresses, pair.params, 1, pair.user, pair.master.derive(label), timeout=timeout
+        )
+        socks = net._idle[key]._socks
+        assert [s.gettimeout() for s in socks] == [timeout, timeout]
 
 
 def test_concurrent_sessions_under_fast_switching(pair):

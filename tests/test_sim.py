@@ -15,6 +15,7 @@ from spircr.sim import (
     build_transcript,
     deal,
     decode,
+    query_columns,
     run_retrieval,
 )
 from spircr.plan import SymbolRequest
@@ -64,14 +65,14 @@ def test_answer_query_golden_single_db():
     reqs = tuple(
         SpirRequest(SymbolRequest(((m, 1),)), m) for m in (1, 2, 3)
     )
-    assert answer_query(reqs, state) == (3, 0, 2)
+    assert answer_query(query_columns(p, reqs), state) == (3, 0, 2)
 
 
 def test_answer_query_gf2_wraps():
     p = SchemeParams.create(1, 2, 2)
     state = DatabaseState(p, (1, 0, 1, 0))
     reqs = (SpirRequest(SymbolRequest(((1, 1),)), 1),)
-    assert answer_query(reqs, state) == (0,)
+    assert answer_query(query_columns(p, reqs), state) == (0,)
 
 
 def test_answer_query_range_errors():
@@ -82,7 +83,7 @@ def test_answer_query_range_errors():
     for terms, cr in [(((1, 2),), 1), (((1, 0),), 1), (((0, 1),), 1),
                       (((1, 1),), 9), (((1, 1),), 0), (((1, 1),), -1)]:
         with pytest.raises(SimError):
-            answer_query((SpirRequest(SymbolRequest(terms), cr),), state)
+            answer_query(query_columns(p, (SpirRequest(SymbolRequest(terms), cr),)), state)
 
 
 @pytest.mark.parametrize("n,k", GRID)
@@ -129,7 +130,7 @@ def test_decode_requires_matching_user_index():
     s = seeds("mismatch")
     state, user = deal(p, s.messages, s.pool, s.user)
     query = select_query(p, 1, user.index, SeededStream(s.query))
-    answers = tuple(answer_query(reqs, state) for reqs in query)
+    answers = tuple(answer_query(query_columns(p, reqs), state) for reqs in query)
     wrong = UserRandomness(index=(user.index % 2) + 1, value=user.value)
     with pytest.raises(DecodeError):
         decode(p, 1, query, answers, wrong)
@@ -140,7 +141,7 @@ def test_decode_detects_missing_companion():
     s = seeds("chop")
     state, user = deal(p, s.messages, s.pool, s.user)
     query = select_query(p, 1, user.index, SeededStream(s.query), mutation="bare-companion")
-    answers = tuple(answer_query(reqs, state) for reqs in query)
+    answers = tuple(answer_query(query_columns(p, reqs), state) for reqs in query)
     with pytest.raises(DecodeError):
         decode(p, 1, query, answers, user)
 

@@ -4,12 +4,14 @@ import struct
 import pytest
 
 from spircr.fields import Seed, SeededStream
-from spircr.plan import SchemeParams
-from spircr.scheme import select_query
+from spircr.plan import SchemeParams, SymbolRequest
+from spircr.scheme import SpirRequest, select_query
+from spircr.sim import request_columns
 from spircr.wire import (
     MAGIC,
     VERSION,
     Frame,
+    FrameReader,
     FrameType,
     WireError,
     decode_answer_payload,
@@ -46,9 +48,7 @@ def test_query_payload_roundtrip():
     p, query = sample_query()
     for db_reqs in query:
         payload = encode_query_payload(p, db_reqs)
-        echo, decoded = decode_query_payload(payload)
-        assert (echo.N, echo.K, echo.q, echo.L) == (2, 2, 257, 4)
-        assert decoded == db_reqs
+        assert decode_query_payload(payload, p) == [request_columns(p, sr) for sr in db_reqs]
 
 
 def test_query_payload_counts():
@@ -56,17 +56,79 @@ def test_query_payload_counts():
     assert all(len(db_reqs) == 3 for db_reqs in query)
 
 
-def test_unmasked_request_roundtrips():
-    from spircr.plan import SymbolRequest
-    from spircr.scheme import SpirRequest
+@pytest.mark.parametrize("n,k", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4)])
+def test_one_pass_parser_matches_request_columns(n, k):
+    # every honest query is admitted, and parses to the columns the
+    # in-process answerer reads
+    p = SchemeParams.create(n, k, 2)
+    for seed in range(10):
+        for desired in range(1, k + 1):
+            for u in range(1, p.rs_size + 1):
+                rng = SeededStream(Seed.from_text(f"columns-{n}-{k}-{seed}"))
+                for db_reqs in select_query(p, desired, u, rng):
+                    got = decode_query_payload(encode_query_payload(p, db_reqs), p)
+                    assert got == [request_columns(p, sr) for sr in db_reqs]
 
+
+def test_unmasked_request_encodes_but_is_refused():
+    # the encoder still writes cr = 0 (audit.orbit_key encodes faulted
+    # tables); no server admits it
     p = SchemeParams.create(1, 2, 5)
     reqs = (
         SpirRequest(SymbolRequest(((1, 1),)), None),
         SpirRequest(SymbolRequest(((2, 1),)), 2),
     )
-    _, decoded = decode_query_payload(encode_query_payload(p, reqs))
-    assert decoded == reqs
+    payload = encode_query_payload(p, reqs)
+    assert payload[16 + 2 + 6 : 16 + 2 + 6 + 4] == bytes(4)
+    with pytest.raises(WireError, match="unmasked request"):
+        decode_query_payload(payload, p)
+
+
+# One honest-shaped database query at (2,2): the 1-sums of W1 and W2, then
+# one 2-sum, masked by S1, S2, S3. Each refused variant breaks one rule.
+ADMIT = SchemeParams.create(2, 2, 257)
+HONEST = (((1, 1),), 1), (((2, 1),), 2), (((1, 2), (2, 2)), 3)
+
+
+def _payload(reqs):
+    return encode_query_payload(
+        ADMIT, tuple(SpirRequest(SymbolRequest(terms), cr) for terms, cr in reqs)
+    )
+
+
+REFUSED = {
+    "unmasked": ([HONEST[0], HONEST[1], (HONEST[2][0], None)], "unmasked request"),
+    "repeated-mask": ([HONEST[0], (HONEST[1][0], 1), HONEST[2]], "pool index 1 masks 2 requests"),
+    "too-few": (HONEST[:2], "2 requests, expected 3"),
+    "too-many": ([*HONEST, (((2, 3),), 3)], "4 requests, expected 3"),
+    "repeated-symbol": (
+        [HONEST[0], HONEST[1], (((1, 1), (2, 2)), 3)], r"symbol W1\[1\] in two requests"
+    ),
+    "subset-count": (
+        [HONEST[0], (((1, 3),), 2), HONEST[2]],
+        r"subset \(1,\) has 2 requests, expected 1",
+    ),
+    "equal": ([HONEST[0], HONEST[0], HONEST[2]], r"canonical sorted order: W1\[1\] twice"),
+    "out-of-order": ([HONEST[1], HONEST[0], HONEST[2]], "canonical sorted order"),
+}
+
+
+def test_honest_shape_is_admitted():
+    assert decode_query_payload(_payload(HONEST), ADMIT) == [[0, 8], [4, 9], [1, 5, 10]]
+
+
+@pytest.mark.parametrize("rule", sorted(REFUSED))
+def test_admission_refuses_each_broken_rule(rule):
+    reqs, reason = REFUSED[rule]
+    with pytest.raises(WireError, match=reason):
+        decode_query_payload(_payload(reqs), ADMIT)
+
+
+def test_parameter_mismatch_names_both_shapes():
+    payload = _payload(HONEST)
+    with pytest.raises(WireError, match="parameter mismatch: client N=2 K=2 q=257 L=4, "
+                                        "server N=2 K=2 q=263 L=4"):
+        decode_query_payload(payload, SchemeParams.create(2, 2, 263))
 
 
 def test_answer_payload_roundtrip():
@@ -102,15 +164,38 @@ def test_decode_frame_rejects_garbage():
         decode_frame(good + b"!")
 
 
+class _Chunks:
+    """A socket stand-in whose recv returns the given chunks, then EOF."""
+
+    def __init__(self, *chunks):
+        self.chunks = list(chunks)
+
+    def recv(self, n):
+        return self.chunks.pop(0)[:n] if self.chunks else b""
+
+
+def test_frame_reader_reassembles_and_keeps_pipelined_octets():
+    one = encode_frame(Frame(FrameType.ANSWER, b"abcdef"))
+    two = encode_frame(Frame(FrameType.HELLO, b""))
+    reader = FrameReader(_Chunks(one[:3], one[3:12], one[12:] + two[:4], two[4:]))
+    assert reader.read() == Frame(FrameType.ANSWER, b"abcdef")
+    assert reader.read() == Frame(FrameType.HELLO, b"")
+    assert reader.read() is None
+    with pytest.raises(WireError, match="closed mid-frame"):
+        FrameReader(_Chunks(one[:-1])).read()
+    with pytest.raises(WireError, match="closed mid-frame"):
+        FrameReader(_Chunks(one[:4])).read()
+
+
 def test_query_payload_rejects_malformed():
     p, query = sample_query()
     payload = encode_query_payload(p, query[0])
     with pytest.raises(WireError):
-        decode_query_payload(payload[:-2])  # truncated cr field
+        decode_query_payload(payload[:-2], p)  # truncated cr field
     with pytest.raises(WireError):
-        decode_query_payload(payload + b"\x00")  # trailing octets
+        decode_query_payload(payload + b"\x00", p)  # trailing octets
     with pytest.raises(WireError):
-        decode_query_payload(b"")
+        decode_query_payload(b"", p)
 
 
 def test_query_payload_rejects_noncanonical_order():
@@ -118,7 +203,7 @@ def test_query_payload_rejects_noncanonical_order():
     db = list(query[0])
     reordered = tuple([db[2], db[0], db[1]])
     with pytest.raises(WireError):
-        decode_query_payload(encode_query_payload(p, reordered))
+        decode_query_payload(encode_query_payload(p, reordered), p)
 
 
 def test_query_payload_rejects_out_of_range_indices():
@@ -128,18 +213,25 @@ def test_query_payload_rejects_out_of_range_indices():
     head = struct.calcsize(">HHII") + 4
     payload[head + 2 : head + 4] = (0).to_bytes(2, "big")
     with pytest.raises(WireError):
-        decode_query_payload(bytes(payload))
+        decode_query_payload(bytes(payload), p)
 
 
 def test_fuzz_random_frames_never_crash():
+    p, query = sample_query()
+    head = encode_query_payload(p, query[0])[:20]  # params and request count
     rng = random.Random(99)
     rejected = 0
     for _ in range(20_000):
         blob = rng.randbytes(rng.randrange(0, 64))
         try:
-            decode_frame(blob)
+            frame = decode_frame(blob)
+            if frame.ftype == FrameType.QUERY:
+                decode_query_payload(frame.payload, p)
         except WireError:
             rejected += 1
+        for payload in (blob, head + blob):
+            with pytest.raises(WireError):
+                decode_query_payload(payload, p)
     assert rejected > 19_000  # nearly everything random is malformed
 
 
@@ -154,6 +246,6 @@ def test_fuzz_mutated_valid_frames():
         try:
             frame = decode_frame(bytes(data))
             if frame.ftype == FrameType.QUERY:
-                decode_query_payload(frame.payload)
+                decode_query_payload(frame.payload, p)
         except WireError:
             pass
