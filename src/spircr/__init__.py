@@ -37,7 +37,6 @@ from .plan import (
     SchemeParams,
     SymbolRequest,
     build_pir_plan,
-    validate_pir_plan,
 )
 from .region import (
     Baselines,
@@ -115,5 +114,4 @@ __all__ = [
     "serve_database",
     "time_share_plan",
     "user_privacy_audit",
-    "validate_pir_plan",
 ]

@@ -2,11 +2,22 @@
 
 The scheme is linear over F_q. Under a fixed query table T, every answer is
 a 0/1 row over the unknowns X = (W, S), all message symbols followed by all
-pool symbols, and so is the user's own pool entry S_u. X is uniform on
+pool symbols: ones at the columns sim.request_columns gives, the columns
+sim.answer_query sums. So is the user's own pool entry S_u. X is uniform on
 F_q^n, and for any matrix A the vector AX is uniform on A's column space, so
 H(AX | T) = rank(A) q-ary units. For view rows V and target rows B,
 
     I(VX; BX | T) = rank V + rank B - rank [V; B].
+
+Every target here is the unit rows B on a set C of columns: the undesired
+messages' symbols, or the pool symbols other than S_u. Subtracting rows of
+B clears the C columns of V without changing the span, so
+rank [V; B] = |C| + rank(V without the columns C), rank B = |C|, and
+
+    I(VX; BX | T) = rank V - rank(V without the columns C).
+
+_leak counts that difference by one sparse elimination mod q over the
+answers' columns, with the C columns pivoted last; no dense row is built.
 
 T is drawn from the coins and from u alone, and neither depends on X, so
 I(T; BX) = 0 and I((T, VX); BX) = sum over T of P(T) * I(VX; BX | T): an
@@ -51,18 +62,26 @@ The orbit key names the orbit under that group (orbit_key):
   * At N = 1, L = 1 and the variant is the identity, so the emitted pool
     maps are the rs cyclic shifts. orbit_invariant allows every pool
     bijection and so equates queries no shift maps onto each other (T_1[0]
-    and T_2[0] at (1,4) under seed-reuse). The key is the least
-    encode_query_payload over the rs shifts of T_k[0], an exact canonical
-    form of the orbit with no precondition. No nonzero shift fixes a query,
-    because it moves the index on the W_k 1-sum, so |O_k| = rs and
-    P(q | k, u) = 1.
+    and T_2[0] at (1,4) under seed-reuse). The key is the least, over the
+    rs shifts of T_k[0], of the tuple ((terms, mask), ...) in request
+    order, with mask 0 for an unmasked request; pool indices start at 1,
+    so 0 names none. A shift keeps the request order and the tuple is
+    injective, so its least image over the orbit is an exact canonical form
+    with no precondition. No nonzero shift fixes a query, because it moves
+    the index on the W_k 1-sum, so |O_k| = rs and P(q | k, u) = 1.
 
 Audits:
   reliability        every step sim.decode plans leaves exactly the desired
-                     symbol's row, so decode is right for every (W, S)
+                     symbol's column, mod q, so decode is right for every (W, S)
   user-privacy       per-database query distribution forgets the desired index
   database-privacy   I(T, answers, S_u; undesired message symbols) = 0
   cr-difference      I(T, answers, S_u, W_k; pool symbols other than S_u) = 0
+
+The exact query distribution is the acceptance gate's oracle, not an audit
+path: query_distribution enumerates every coin through tables_for_seed and
+_seed1_tables into a Distribution, and _check_bound raises
+InstanceTooLarge past its bound. They stay here because the gate imports
+query_distribution; no audit calls any of them.
 """
 from __future__ import annotations
 
@@ -325,9 +344,10 @@ def orbit_key(params: SchemeParams, db_query: tuple[SpirRequest, ...]):
     it is orbit_invariant, under that function's precondition."""
     if params.N >= 2:
         return orbit_invariant(db_query)
-    shifts = (shift_mapping(params.rs_size, d) for d in range(params.rs_size))
+    rs = params.rs_size
     return min(
-        encode_query_payload(params, relabel_table((db_query,), shift)[0]) for shift in shifts
+        tuple((sr.terms, 0 if sr.cr is None else (sr.cr - 1 + d) % rs + 1) for sr in db_query)
+        for d in range(rs)
     )
 
 
@@ -365,50 +385,55 @@ def user_privacy_audit(params: SchemeParams, mutation: Mutation | None = None) -
 
 
 # ---------------------------------------------------------------------------
-# Rank identities over F_q, one query table at a time
+# Rank identities over F_q, on the columns each answer sums
 
 
-def rank_mod(rows: list[list[int]], q: int) -> int:
-    """Rank of integer row vectors over the prime field F_q."""
-    basis: dict[int, list[int]] = {}  # leading column -> row, 1 there, 0 before
-    for row in rows:
-        row = [x % q for x in row]
-        for lead in sorted(basis):
+def _table_columns(params: SchemeParams, table: QueryTable) -> list[list[int]]:
+    """request_columns of every request, database by database."""
+    return [request_columns(params, sr) for db_reqs in table for sr in db_reqs]
+
+
+def _row(plus: list[int], minus: list[int], q: int) -> dict[int, int]:
+    """The nonzero coefficients mod q of the sum of X at the plus columns
+    minus the sum at the minus ones, each counted with multiplicity."""
+    row: dict[int, int] = {}
+    for c in plus:
+        row[c] = row.get(c, 0) + 1
+    for c in minus:
+        row[c] = row.get(c, 0) - 1
+    return {c: x % q for c, x in row.items() if x % q}
+
+
+def _leak(params: SchemeParams, view: list[list[int]], target: set[int]) -> int:
+    """rank V - rank(V without the target columns) over F_q, for view rows
+    given as columns counted with multiplicity, as sim.answer_query sums.
+
+    Each row pivots on its least column in an order that puts the target
+    columns last, so a row that pivots on a target column is zero off the
+    target. The rows that pivot off the target span V without the target
+    columns, and the rest, counted here, number rank V minus its rank.
+    """
+    q, last = params.q, params.K * params.L + params.rs_size
+    basis: dict[int, dict[int, int]] = {}  # pivot -> row, 1 at the pivot, 0 before
+    leak = 0
+    for cols in view:
+        row = _row([c + last if c in target else c for c in cols], [], q)
+        while row:
+            lead = min(row)
+            pivot_row = basis.get(lead)
+            if pivot_row is None:
+                inv = pow(row[lead], -1, q)
+                basis[lead] = {c: x * inv % q for c, x in row.items()}
+                leak += lead >= last
+                break
             f = row[lead]
-            if f:
-                row = [(x - f * y) % q for x, y in zip(row, basis[lead])]
-        lead = next((c for c, x in enumerate(row) if x), None)
-        if lead is not None:
-            inv = pow(row[lead], -1, q)
-            basis[lead] = [(x * inv) % q for x in row]
-    return len(basis)
-
-
-def _unit(params: SchemeParams, column: int) -> list[int]:
-    row = [0] * (params.K * params.L + params.rs_size)
-    row[column] = 1
-    return row
-
-
-def _message_rows(params: SchemeParams, message: int) -> list[list[int]]:
-    return [_unit(params, message_column(params, message, s)) for s in range(1, params.L + 1)]
-
-
-def _pool_row(params: SchemeParams, index: int) -> list[int]:
-    return _unit(params, pool_column(params, index))
-
-
-def answer_rows(params: SchemeParams, table: QueryTable) -> list[list[int]]:
-    """Each answer as a 0/1 row over X, database by database: ones at the
-    columns sim.answer_query sums."""
-    rows = []
-    for db_reqs in table:
-        for sr in db_reqs:
-            row = [0] * (params.K * params.L + params.rs_size)
-            for c in request_columns(params, sr):
-                row[c] = 1
-            rows.append(row)
-    return rows
+            for c, y in pivot_row.items():
+                x = (row.get(c, 0) - f * y) % q
+                if x:
+                    row[c] = x
+                else:
+                    row.pop(c, None)
+    return leak
 
 
 def misdecoded_symbols(
@@ -416,41 +441,46 @@ def misdecoded_symbols(
 ) -> list[int]:
     """Desired symbols whose sim.decode_plan step is not exactly that symbol.
 
-    A step subtracts its companion's row (or the user's pool row) from its
-    source row; decode returns W_desired for every (W, S) exactly when each
-    difference is the unit row of its symbol mod q, so an empty list is a
-    proof. Raises DecodeError wherever sim.decode_plan does.
+    A step subtracts its companion's columns (or the user's pool column)
+    from its source's; decode returns W_desired for every (W, S) exactly
+    when what is left is the symbol's own column once, mod q, so an empty
+    list is a proof. Raises DecodeError wherever sim.decode_plan does.
     """
-    rows = answer_rows(params, table)
+    requests = [sr for db_reqs in table for sr in db_reqs]
     wrong = []
     for sym, source, companion in decode_plan(params, desired, table, seed):
-        sub = _pool_row(params, seed) if companion is None else rows[companion]
-        want = _unit(params, message_column(params, desired, sym))
-        if any((a - b - t) % params.q for a, b, t in zip(rows[source], sub, want)):
+        sub = (
+            [pool_column(params, seed)]
+            if companion is None
+            else request_columns(params, requests[companion])
+        )
+        sub.append(message_column(params, desired, sym))
+        if _row(request_columns(params, requests[source]), sub, params.q):
             wrong.append(sym)
     return wrong
 
 
-def _information(view: list[list[int]], target: list[list[int]], q: int) -> int:
-    return rank_mod(view, q) + rank_mod(target, q) - rank_mod(view + target, q)
-
-
 def database_privacy_leak(params: SchemeParams, desired: int, seed: int, table: QueryTable) -> int:
     """I(answers, S_seed; undesired message symbols | T) in q-ary units."""
-    view = answer_rows(params, table) + [_pool_row(params, seed)]
-    target = [
-        row for m in range(1, params.K + 1) if m != desired for row in _message_rows(params, m)
-    ]
-    return _information(view, target, params.q)
+    view = _table_columns(params, table) + [[pool_column(params, seed)]]
+    target = {
+        message_column(params, m, s)
+        for m in range(1, params.K + 1)
+        if m != desired
+        for s in range(1, params.L + 1)
+    }
+    return _leak(params, view, target)
 
 
 def cr_difference_leak(params: SchemeParams, desired: int, seed: int, table: QueryTable) -> int:
     """I(answers, S_seed, W_desired; pool symbols other than S_seed | T)."""
     view = (
-        answer_rows(params, table) + [_pool_row(params, seed)] + _message_rows(params, desired)
+        _table_columns(params, table)
+        + [[pool_column(params, seed)]]
+        + [[message_column(params, desired, s)] for s in range(1, params.L + 1)]
     )
-    target = [_pool_row(params, i) for i in range(1, params.rs_size + 1) if i != seed]
-    return _information(view, target, params.q)
+    target = {pool_column(params, i) for i in range(1, params.rs_size + 1) if i != seed}
+    return _leak(params, view, target)
 
 
 def reliability_audit(params: SchemeParams, mutation: Mutation | None = None) -> AuditReport:

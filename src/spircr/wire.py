@@ -13,10 +13,10 @@ Query payload:
     term_count:u16, term_count * (message:u16 symbol:u32), cr:u32
 
 cr = 0 encodes an unmasked request. The encoder writes one for a
-fault-injected table (audit.orbit_key encodes those), but no server admits
-it: decode_query_payload admits one database's query only if it has the
-scheme's shape, which is every rule the one-time pad of the shared pool
-needs (Sun and Jafar, arXiv 1606.08828):
+fault-injected table (audit.query_distribution encodes those), but no
+server admits it: decode_query_payload admits one database's query only if
+it has the scheme's shape, which is every rule the one-time pad of the
+shared pool needs (Sun and Jafar, arXiv 1606.08828):
 
   * the client's N, K, q and L are the server's;
   * exactly rs requests, each masked (cr != 0), the masks a permutation of
@@ -25,7 +25,7 @@ needs (Sun and Jafar, arXiv 1606.08828):
     increasing by message inside each;
   * no (message, symbol) in two requests;
   * (N-1)^(t-1) requests over each t-subset of the messages
-    (plan.subset_counts, the count validate_pir_plan checks).
+    (plan.subset_counts, the counts plan_with_perms lays out).
 
 Answer payload: count:u32 then count * value:u32. Error payload: UTF-8 text.
 Decoding rejects anything malformed or refused with a WireError naming the

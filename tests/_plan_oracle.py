@@ -1,0 +1,93 @@
+"""Structural oracle for retrieval plans.
+
+Checks a plan against the layout the scheme promises: per-database subset
+counts, each desired symbol requested once, each undesired symbol introduced
+once, and a companion at another database for every larger desired sum. The
+package builds plans and never validates them, so the checks live here.
+"""
+from __future__ import annotations
+
+from spircr.plan import (
+    PirPlan,
+    SchemeParams,
+    SymbolRequest,
+    format_terms,
+    subset_count_problems,
+)
+
+
+def all_requests(plan: PirPlan) -> list[tuple[int, SymbolRequest]]:
+    """(database, request) pairs, database by database, 1-based."""
+    return [(db + 1, r) for db, reqs in enumerate(plan.per_db) for r in reqs]
+
+
+def symbol_of(request: SymbolRequest, message: int) -> int | None:
+    for m, s in request.terms:
+        if m == message:
+            return s
+    return None
+
+
+def validate_pir_plan(plan: PirPlan, params: SchemeParams | None = None) -> list[str]:
+    """Structural checks; returns human-readable violations (empty = valid)."""
+    params = params or plan.params
+    problems: list[str] = []
+    n_db, n_msg, length = params.N, params.K, params.L
+    if len(plan.per_db) != n_db:
+        return [f"expected {n_db} database request lists, got {len(plan.per_db)}"]
+
+    for db, reqs in enumerate(plan.per_db, start=1):
+        counts: dict[tuple[int, ...], int] = {}
+        for r in reqs:
+            counts[r.messages()] = counts.get(r.messages(), 0) + 1
+            for m, s in r.terms:
+                if not 1 <= m <= n_msg:
+                    problems.append(f"db{db}: message index {m} out of range")
+                if not 1 <= s <= length:
+                    problems.append(f"db{db}: symbol index {s} out of range")
+        problems.extend(f"db{db}: {p}" for p in subset_count_problems(params, counts))
+
+    desired_seen: set[int] = set()
+    undesired_seen: dict[tuple[int, int], tuple[int, SymbolRequest]] = {}
+    for db, r in all_requests(plan):
+        if plan.desired in r.messages():
+            s = symbol_of(r, plan.desired)
+            if s in desired_seen:
+                problems.append(f"index reuse: desired symbol {s} requested more than once")
+            desired_seen.add(s)  # type: ignore[arg-type]
+        else:
+            for m, s in r.terms:
+                key = (m, s)
+                if key in undesired_seen:
+                    problems.append(
+                        f"index reuse: fresh symbol W{m}[{s}] introduced twice "
+                        f"(db{undesired_seen[key][0]} and db{db})"
+                    )
+                undesired_seen[key] = (db, r)
+
+    if len(desired_seen) != length:
+        problems.append(
+            f"desired symbols cover {len(desired_seen)} of {length} positions"
+        )
+
+    # Every multi-term desired request must reuse, at another database, an
+    # undesired-only request over exactly its undesired terms.
+    by_terms: dict[tuple[tuple[int, int], ...], int] = {}
+    for db, r in all_requests(plan):
+        if plan.desired not in r.messages():
+            by_terms[r.terms] = db
+    for db, r in all_requests(plan):
+        if plan.desired in r.messages() and r.size >= 2:
+            rest = r.without(plan.desired)
+            comp_db = by_terms.get(rest.terms)
+            if comp_db is None:
+                problems.append(
+                    f"side-information missing: db{db} has no companion for "
+                    f"{format_terms(r.terms)}"
+                )
+            elif comp_db == db:
+                problems.append(
+                    f"side-information missing: companion of {format_terms(r.terms)} "
+                    f"sits at the same database db{db}"
+                )
+    return problems

@@ -37,6 +37,7 @@ from spircr.scheme import (
     relabel_table,
     select_query,
     shift_cell,
+    shift_mapping,
     variant_mappings,
 )
 from spircr.sim import (
@@ -45,8 +46,15 @@ from spircr.sim import (
     UserRandomness,
     answer_query,
     decode,
+    decode_plan,
+    message_column,
+    pool_column,
     query_columns,
+    request_columns,
 )
+from spircr.wire import encode_query_payload
+
+from _gf import rref
 
 
 def test_distribution_invariants():
@@ -299,6 +307,95 @@ def test_rank_audits_match_brute_force(n, k, q, picks):
 
 
 # ---------------------------------------------------------------------------
+# The sparse column audits against dense rows and _gf.rref
+
+
+def _dense(p, columns):
+    """The row over X = (W, S) that sums X at columns, counted with multiplicity."""
+    row = [0] * (p.K * p.L + p.rs_size)
+    for c in columns:
+        row[c] += 1
+    return row
+
+
+def _dense_information(p, view, target_columns):
+    """rank V + rank B - rank [V; B] with B the unit rows on target_columns."""
+    target = [_dense(p, [c]) for c in target_columns]
+    ranks = [len(rref(rows, p.q)[0]) for rows in (view, target, view + target)]
+    return ranks[0] + ranks[1] - ranks[2]
+
+
+def _dense_values(p, desired, seed, table):
+    """Reliability identity and both leaks from dense rows over X: the
+    oracle for the column audits."""
+    rows = [_dense(p, request_columns(p, sr)) for db_reqs in table for sr in db_reqs]
+    pool_row = _dense(p, [pool_column(p, seed)])
+    try:
+        steps = decode_plan(p, desired, table, seed)
+    except DecodeError:
+        decodes = None
+    else:
+        decodes = []
+        for sym, source, companion in steps:
+            sub = pool_row if companion is None else rows[companion]
+            want = _dense(p, [message_column(p, desired, sym)])
+            if any((a - b - t) % p.q for a, b, t in zip(rows[source], sub, want)):
+                decodes.append(sym)
+    desired_rows = [_dense(p, [message_column(p, desired, s)]) for s in range(1, p.L + 1)]
+    undesired = [
+        message_column(p, m, s) for m in range(1, p.K + 1) if m != desired for s in range(1, p.L + 1)
+    ]
+    other_pool = [pool_column(p, i) for i in range(1, p.rs_size + 1) if i != seed]
+    return (
+        decodes,
+        _dense_information(p, rows + [pool_row], undesired),
+        _dense_information(p, rows + [pool_row] + desired_rows, other_pool),
+    )
+
+
+def _sparse_values(p, desired, seed, table):
+    try:
+        decodes = audit.misdecoded_symbols(p, desired, seed, table)
+    except DecodeError:
+        decodes = None
+    return (
+        decodes,
+        database_privacy_leak(p, desired, seed, table),
+        cr_difference_leak(p, desired, seed, table),
+    )
+
+
+@pytest.mark.parametrize("q", [2, 3, 257])
+@pytest.mark.parametrize("n,k", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4)])
+def test_sparse_audits_match_dense_rows(n, k, q):
+    # the representative of every desired index, and one emitted query per
+    # desired index, so that seeds other than 1 are read too
+    p = SchemeParams.create(n, k, q)
+    seen = set()
+    for mutation in (None, *MUTATIONS):
+        try:
+            tables = [
+                (d, 1, representative_table(p, d, mutation)) for d in range(1, k + 1)
+            ]
+        except SchemeError:
+            # the fault has no eligible request at this shape, for either path
+            with pytest.raises(SchemeError):
+                run_all_audits(p, mutation)
+            continue
+        for d in range(1, k + 1):
+            rng = SeededStream(Seed.from_text(f"dense-{n}-{k}-{q}-{mutation}-{d}"))
+            u = rng.randrange(p.rs_size) + 1
+            tables.append((d, u, select_query(p, d, u, rng, mutation)))
+        for desired, seed, table in tables:
+            values = _sparse_values(p, desired, seed, table)
+            assert values == _dense_values(p, desired, seed, table), (mutation, desired, table)
+            seen.add((values[0] == [], values[1] > 0, values[2] > 0))
+    # both outcomes of every check occur somewhere on the grid's faults
+    assert (True, False, False) in seen
+    assert any(db for _, db, _ in seen)
+
+
+# ---------------------------------------------------------------------------
 # One representative per desired index: the orbit argument, checked
 
 
@@ -482,6 +579,35 @@ def test_single_db_orbit_key_is_cyclic():
         "db1: no relabeling the scheme emits maps q = W1+S1, W2+S1, W3+S3, W4+S4 "
         "for desired W1 onto q = W1+S1, W2+S1, W3+S2, W4+S3 for desired W2"
     )
+
+
+def _encoded_orbit_key(p, db_query):
+    """The N = 1 orbit key as it was: the least encoded query over the rs
+    cyclic shifts of its pool indices."""
+    shifts = (shift_mapping(p.rs_size, d) for d in range(p.rs_size))
+    return min(encode_query_payload(p, relabel_table((db_query,), s)[0]) for s in shifts)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_single_db_orbit_key_splits_like_the_encoded_key(k):
+    # every cyclic shift of every T_k[0], honest and under each fault: two
+    # queries share a key exactly when they shared the encoded one
+    p = SchemeParams.create(1, k, 2)
+    for mutation in (None, *MUTATIONS):
+        try:
+            reps = [representative_table(p, d, mutation)[0] for d in range(1, k + 1)]
+        except SchemeError:
+            continue  # bare-companion needs a larger sum, which N = 1 lacks
+        queries = [
+            relabel_table((rep,), shift_mapping(p.rs_size, d))[0]
+            for rep in reps
+            for d in range(p.rs_size)
+        ]
+        new = [orbit_key(p, dq) for dq in queries]
+        old = [_encoded_orbit_key(p, dq) for dq in queries]
+        for i, j in itertools.combinations(range(len(queries)), 2):
+            assert (new[i] == new[j]) == (old[i] == old[j]), (mutation, queries[i], queries[j])
+        assert len(set(new)) == len(set(old))
 
 
 @pytest.mark.parametrize("n,k", [(1, 3), (2, 2)])

@@ -150,11 +150,11 @@ def test_inapplicable_fault_exits_two(capsys, argv):
     assert "cannot inject bare-companion" in err
 
 
-@pytest.mark.parametrize("n,k", [(2, 3), (3, 2), (3, 3)])
-def test_audit_exact_past_the_enumerable_shapes(capsys, n, k):
+@pytest.mark.parametrize("n,k,q", [(2, 3, 2), (3, 2, 2), (3, 3, 2), (3, 4, 257)])
+def test_audit_exact_past_the_enumerable_shapes(capsys, n, k, q):
     # one representative table per desired index: no coin enumeration, so
     # shapes with 10^12 and more coin outcomes are exact too
-    code, out, err = run(capsys, "audit", "--n", str(n), "--k", str(k), "--q", "2")
+    code, out, err = run(capsys, "audit", "--n", str(n), "--k", str(k), "--q", str(q))
     assert code == 0 and err == ""
     lines = out.splitlines()
     assert [l.split(":")[0] for l in lines] == [

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from spircr.fields import Seed, SeededStream
-from spircr.plan import PirPlan, SchemeParams, build_pir_plan, identity_plan, validate_pir_plan
+from spircr.plan import PirPlan, SchemeParams, build_pir_plan, identity_plan
 from spircr.scheme import (
     MUTATIONS,
     SchemeError,
@@ -24,6 +24,7 @@ from spircr.scheme import (
 from spircr.sim import DecodeError, decode_plan
 
 from _gf import rref
+from _plan_oracle import validate_pir_plan
 
 GRID = [(n, k) for n in (1, 2, 3) for k in (2, 3)]
 

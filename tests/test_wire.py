@@ -71,8 +71,8 @@ def test_one_pass_parser_matches_request_columns(n, k):
 
 
 def test_unmasked_request_encodes_but_is_refused():
-    # the encoder still writes cr = 0 (audit.orbit_key encodes faulted
-    # tables); no server admits it
+    # the encoder still writes cr = 0 (audit.query_distribution encodes
+    # faulted tables); no server admits it
     p = SchemeParams.create(1, 2, 5)
     reqs = (
         SpirRequest(SymbolRequest(((1, 1),)), None),
