@@ -35,7 +35,6 @@ from .net import (
 from .plan import (
     PirPlan,
     SchemeParams,
-    SymbolRequest,
     build_pir_plan,
 )
 from .region import (
@@ -85,7 +84,6 @@ __all__ = [
     "Seed",
     "SeededStream",
     "SpirRequest",
-    "SymbolRequest",
     "TimeSharePlan",
     "Transcript",
     "WireError",

@@ -92,7 +92,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import ClassVar
 
-from .plan import SchemeParams, plan_with_perms
+from .plan import SchemeParams, messages, plan_with_perms
 from .scheme import (
     Mutation,
     QueryTable,
@@ -212,8 +212,7 @@ def _seed1_tables(params: SchemeParams, desired: int) -> list[tuple[int, QueryTa
         for vmap in vmaps:
             variant = permute_nonseed(table, 1, vmap)
             counts[variant] = counts.get(variant, 0) + 1
-    out = sorted(counts.items(), key=lambda kv: repr(kv[0]))
-    result = [(w, t) for t, w in out]
+    result = [(w, t) for t, w in counts.items()]
     _SEED1_CACHE[key] = result
     return result
 
@@ -232,7 +231,7 @@ def tables_for_seed(
         if mutation is not None:
             shifted = apply_mutation(shifted, desired, seed, mutation)
         counts[shifted] = counts.get(shifted, 0) + w
-    result = [(w, t) for t, w in sorted(counts.items(), key=lambda kv: repr(kv[0]))]
+    result = [(w, t) for t, w in counts.items()]
     _TABLE_CACHE[key] = result
     return result
 
@@ -334,7 +333,7 @@ def orbit_invariant(db_query: tuple[SpirRequest, ...]) -> tuple:
                 )
             seen.add(term)
         subsets = unmasked if sr.cr is None else by_index.setdefault(sr.cr, [])
-        subsets.append(sr.base.messages())
+        subsets.append(messages(sr.terms))
     return sorted(tuple(sorted(s)) for s in by_index.values()), sorted(unmasked)
 
 

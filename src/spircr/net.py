@@ -154,9 +154,13 @@ def load_user_file(path: str | Path) -> tuple[SchemeParams, UserRandomness]:
         raise NetError(f"unreadable user file: {e}") from None
     if _field(doc, "kind", str) != "user-randomness":
         raise NetError("not a user randomness file")
-    return _params_from_doc(doc), UserRandomness(
-        index=_field(doc, "index"), value=_field(doc, "value")
-    )
+    params = _params_from_doc(doc)
+    index, value = _field(doc, "index"), _field(doc, "value")
+    if not 1 <= index <= params.rs_size:
+        raise NetError(f"field 'index' = {index} outside [1, {params.rs_size}]")
+    if not 0 <= value < params.q:
+        raise NetError(f"field 'value' = {value} outside [0, {params.q})")
+    return params, UserRandomness(index=index, value=value)
 
 
 class _Handler(socketserver.BaseRequestHandler):

@@ -6,6 +6,10 @@ size-k subset of messages. Undesired-only sums double as side information:
 each one is re-queried at every other database inside a larger sum that
 adds exactly one fresh desired symbol, which is how all L desired symbols
 become recoverable by subtraction.
+
+A plan request is its terms, ((message, symbol), ...) with both indices
+1-based and messages strictly increasing: the formal sum of those single
+symbols. The scheme layer adds the pool index that masks it.
 """
 from __future__ import annotations
 
@@ -80,34 +84,12 @@ class SchemeParams:
         return asdict(self)
 
 
-@dataclass(frozen=True, order=True)
-class SymbolRequest:
-    """A formal sum of single symbols, one from each listed message.
+Terms = tuple[tuple[int, int], ...]
 
-    terms: ((message, symbol), ...), message indices strictly increasing,
-    both 1-based.
-    """
 
-    terms: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        terms = self.terms
-        if not terms:
-            raise ValueError("a request needs at least one term")
-        for i in range(1, len(terms)):
-            if terms[i - 1][0] >= terms[i][0]:
-                raise ValueError("terms must be sorted by distinct message index")
-
-    @property
-    def size(self) -> int:
-        return len(self.terms)
-
-    def messages(self) -> tuple[int, ...]:
-        return tuple(m for m, _ in self.terms)
-
-    def without(self, message: int) -> "SymbolRequest":
-        kept = tuple((m, s) for m, s in self.terms if m != message)
-        return SymbolRequest(kept)
+def messages(terms: Terms) -> tuple[int, ...]:
+    """The messages a request sums a symbol of, in increasing order."""
+    return tuple([m for m, _ in terms])
 
 
 @dataclass(frozen=True)
@@ -117,10 +99,10 @@ class PirPlan:
 
     params: SchemeParams
     desired: int
-    per_db: tuple[tuple[SymbolRequest, ...], ...]
+    per_db: tuple[tuple[Terms, ...], ...]
 
 
-def request_sort_key(terms: tuple[tuple[int, int], ...]):
+def request_sort_key(terms: Terms):
     # Canonical order: by sum size, then message indices, then symbol indices.
     return (len(terms), terms)
 
@@ -160,44 +142,38 @@ def plan_with_perms(
         next_pos[message - 1] += 1
         return p + 1
 
-    per_db: list[list[SymbolRequest]] = [[] for _ in range(n_db)]
+    per_db: list[list[Terms]] = [[] for _ in range(n_db)]
     # Undesired-only sums of the previous round, per database, in creation
     # order; round t reuses each of them once at every other database.
-    side_prev: list[list[SymbolRequest]] = [[] for _ in range(n_db)]
+    side_prev: list[list[Terms]] = [[] for _ in range(n_db)]
 
     # At N = 1 later rounds would need (N-1)^(t-1) = 0 undesired-only sums
     # and a companion at another database, so round 1 is the whole plan.
     rounds = n_msg if n_db > 1 else 1
     for t in range(1, rounds + 1):
-        side_this: list[list[SymbolRequest]] = [[] for _ in range(n_db)]
+        side_this: list[list[Terms]] = [[] for _ in range(n_db)]
         subsets = _ranked_subsets(n_msg, desired, t)
         for db in range(1, n_db + 1):
             for subset in subsets:
                 if desired in subset:
                     if t == 1:
-                        per_db[db - 1].append(SymbolRequest(((desired, take(desired)),)))
+                        per_db[db - 1].append(((desired, take(desired)),))
                     else:
                         rest = tuple(m for m in subset if m != desired)
                         for other in _cyclic_others(db, n_db):
                             for comp in side_prev[other - 1]:
-                                if comp.messages() != rest:
+                                if messages(comp) != rest:
                                     continue
-                                terms = tuple(
-                                    sorted(comp.terms + ((desired, take(desired)),))
-                                )
-                                per_db[db - 1].append(SymbolRequest(terms))
+                                terms = tuple(sorted(comp + ((desired, take(desired)),)))
+                                per_db[db - 1].append(terms)
                 else:
                     for _ in range((n_db - 1) ** (t - 1)):
                         terms = tuple((m, take(m)) for m in subset)
-                        req = SymbolRequest(terms)
-                        per_db[db - 1].append(req)
-                        side_this[db - 1].append(req)
+                        per_db[db - 1].append(terms)
+                        side_this[db - 1].append(terms)
         side_prev = side_this
 
-    ordered = tuple(
-        tuple(sorted(reqs, key=lambda r: request_sort_key(r.terms)))
-        for reqs in per_db
-    )
+    ordered = tuple(tuple(sorted(reqs, key=request_sort_key)) for reqs in per_db)
     return PirPlan(params=params, desired=desired, per_db=ordered)
 
 
@@ -215,7 +191,7 @@ def _cyclic_others(db: int, n_db: int) -> list[int]:
     return [((db - 1 + k) % n_db) + 1 for k in range(1, n_db)]
 
 
-def undesired_only_slots(plan: PirPlan) -> list[tuple[int, SymbolRequest]]:
+def undesired_only_slots(plan: PirPlan) -> list[tuple[int, Terms]]:
     """Undesired-only requests in canonical slot order.
 
     These are the requests that introduce fresh masking randomness; order is
@@ -224,18 +200,18 @@ def undesired_only_slots(plan: PirPlan) -> list[tuple[int, SymbolRequest]]:
     """
     slots = []
     for db, reqs in enumerate(plan.per_db, start=1):
-        for r in reqs:
-            if plan.desired not in r.messages():
-                slots.append((db, r))
+        for terms in reqs:
+            if plan.desired not in messages(terms):
+                slots.append((db, terms))
     slots.sort(key=lambda item: slot_key(item[0], item[1], plan.desired, plan.params.K))
     return slots
 
 
-def slot_key(db: int, req: SymbolRequest, desired: int, n_msg: int) -> tuple:
+def slot_key(db: int, terms: Terms, desired: int, n_msg: int) -> tuple:
     """Sort key of an undesired-only request among the mask slots: (size,
     database, cyclic subset rank, terms). Only the terms break ties, between
     requests over one subset at one database (N >= 3)."""
-    return (req.size, db, subset_rank(req.messages(), desired, n_msg), req.terms)
+    return (len(terms), db, subset_rank(messages(terms), desired, n_msg), terms)
 
 
 @functools.lru_cache(maxsize=256)
@@ -265,7 +241,7 @@ def subset_count_problems(
     ]
 
 
-def format_terms(terms: tuple[tuple[int, int], ...], length: int | None = None) -> str:
+def format_terms(terms: Terms, length: int | None = None) -> str:
     parts = []
     for m, s in terms:
         if length == 1:

@@ -11,7 +11,9 @@ retrieval plan whose requests each carry one pool index:
     its companion undesired-only sum at another database, so subtracting the
     companion answer cancels mask and side information together.
 
-A query is a QueryTable: one tuple of masked requests per database. The
+A request is (terms, mask): a plan request's sum of single message symbols
+plus the pool symbol with index cr, which pads it as a one-time pad does.
+A query is a QueryTable: one tuple of such requests per database. The
 canonical table T_k (canonical_table) is the identity plan for desired
 index k with seed index 1. Every query select_query emits is one relabeling
 of T_k: each message's symbols by a uniform ordering, and the pool indices
@@ -33,10 +35,11 @@ from .fields import DrawStream, Permutation, sample_permutation
 from .plan import (
     PirPlan,
     SchemeParams,
-    SymbolRequest,
+    Terms,
     build_pir_plan,  # noqa: F401  perfbench/tracing.py wraps scheme.build_pir_plan
     format_terms,
     identity_plan,
+    messages,
     request_sort_key,
     sample_orderings,
     slot_key,
@@ -53,23 +56,16 @@ Mutation = Literal["seed-reuse", "unmask-one", "bare-companion"]
 MUTATIONS: tuple[str, ...] = ("seed-reuse", "unmask-one", "bare-companion")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class SpirRequest:
-    """A plan request plus the shared-randomness index masking its answer.
-
-    cr is None only in deliberately broken (fault-injected) queries.
+    """One request as a database receives it: (terms, mask). terms is a plan
+    request, ((message, symbol), ...) with messages strictly increasing, and
+    cr the index of the pool symbol added to its answer; None only in
+    deliberately broken (fault-injected) queries.
     """
 
-    base: SymbolRequest
+    terms: Terms
     cr: int | None
-
-    @property
-    def terms(self) -> tuple[tuple[int, int], ...]:
-        return self.base.terms
-
-    @property
-    def size(self) -> int:
-        return self.base.size
 
     def to_dict(self) -> dict:
         """The request object of every transcript and table document."""
@@ -98,39 +94,36 @@ def nonseed_cycle(params: SchemeParams, seed: int) -> list[int]:
     return [((seed - 1 + i) % rs) + 1 for i in range(1, rs)]
 
 
-def assign_common_randomness(plan: PirPlan, params: SchemeParams | None = None) -> QueryTable:
+def assign_common_randomness(plan: PirPlan, params: SchemeParams) -> QueryTable:
     """Attach pool indices to a plan, producing the canonical table whose
     seed is pool index 1."""
-    params = params or plan.params
     seed = 1
-    label: dict[tuple[tuple[int, int], ...], int] = {}
-    slot_db: dict[tuple[tuple[int, int], ...], int] = {}
+    label: dict[Terms, int] = {}
+    slot_db: dict[Terms, int] = {}
     cycle = nonseed_cycle(params, seed)
     slots = undesired_only_slots(plan)
     if len(slots) != params.rs_size - 1:
         raise SchemeError(
             f"expected {params.rs_size - 1} fresh mask slots, found {len(slots)}"
         )
-    for (db, req), idx in zip(slots, cycle):
-        label[req.terms] = idx
-        slot_db[req.terms] = db
+    for (db, terms), idx in zip(slots, cycle):
+        label[terms] = idx
+        slot_db[terms] = db
 
     per_db: list[list[SpirRequest]] = []
     for db, reqs in enumerate(plan.per_db, start=1):
         out = []
-        for r in reqs:
-            if plan.desired not in r.messages():
-                out.append(SpirRequest(r, label[r.terms]))
-            elif r.size == 1:
-                out.append(SpirRequest(r, seed))
+        for terms in reqs:
+            if plan.desired not in messages(terms):
+                out.append(SpirRequest(terms, label[terms]))
+            elif len(terms) == 1:
+                out.append(SpirRequest(terms, seed))
             else:
-                rest = r.without(plan.desired)
-                idx = label.get(rest.terms)
-                if idx is None or slot_db[rest.terms] == db:
-                    raise SchemeError(
-                        f"companion sum not found for {format_terms(r.terms)}"
-                    )
-                out.append(SpirRequest(r, idx))
+                rest = tuple([t for t in terms if t[0] != plan.desired])
+                idx = label.get(rest)
+                if idx is None or slot_db[rest] == db:
+                    raise SchemeError(f"companion sum not found for {format_terms(terms)}")
+                out.append(SpirRequest(terms, idx))
         out.sort(key=lambda sr: request_sort_key(sr.terms))
         per_db.append(out)
     return tuple(tuple(x) for x in per_db)
@@ -142,9 +135,7 @@ def canonical_table(params: SchemeParams, desired: int) -> QueryTable:
     return assign_common_randomness(identity_plan(params, desired), params)
 
 
-def _relabel_terms(
-    terms: tuple[tuple[int, int], ...], symbols: tuple[Permutation, ...]
-) -> tuple[tuple[int, int], ...]:
+def _relabel_terms(terms: Terms, symbols: tuple[Permutation, ...]) -> Terms:
     return tuple([(m, symbols[m - 1][s - 1] + 1) for m, s in terms])
 
 
@@ -157,16 +148,15 @@ def relabel(
     out = []
     for db_reqs in table:
         if symbols is None:
-            reqs = [SpirRequest(sr.base, None if sr.cr is None else pool[sr.cr]) for sr in db_reqs]
+            reqs = [SpirRequest(sr.terms, None if sr.cr is None else pool[sr.cr]) for sr in db_reqs]
         else:
             # request_sort_key, then the position in db_reqs so no two keys tie
             keyed = sorted(
-                (len(sr.base.terms), _relabel_terms(sr.base.terms, symbols), i, sr.cr)
+                (len(sr.terms), _relabel_terms(sr.terms, symbols), i, sr.cr)
                 for i, sr in enumerate(db_reqs)
             )
             reqs = [
-                SpirRequest(SymbolRequest(terms), None if cr is None else pool[cr])
-                for _, terms, _, cr in keyed
+                SpirRequest(terms, None if cr is None else pool[cr]) for _, terms, _, cr in keyed
             ]
         out.append(tuple(reqs))
     return tuple(out)
@@ -249,23 +239,25 @@ def apply_mutation(table: QueryTable, desired: int, seed: int, mutation: Mutatio
         sr.terms: db
         for db, db_reqs in enumerate(table)
         for sr in db_reqs
-        if desired not in sr.base.messages()
+        if desired not in messages(sr.terms)
     }
     picks = []
     for db, db_reqs in enumerate(table):
         for i, sr in enumerate(db_reqs):
-            messages = sr.base.messages()
+            terms = sr.terms
+            subset = messages(terms)
             if mutation == "bare-companion":
-                if sr.size >= 2 and desired in messages:
-                    offset = (home[sr.base.without(desired).terms] - db) % len(table)
-                    picks.append(((db, sr.size, messages, offset), i))
-            elif sr.size == 1 and messages[0] != desired:
-                picks.append(((db, messages), i))
+                if len(terms) >= 2 and desired in subset:
+                    rest = tuple([t for t in terms if t[0] != desired])
+                    offset = (home[rest] - db) % len(table)
+                    picks.append(((db, len(terms), subset, offset), i))
+            elif len(terms) == 1 and subset[0] != desired:
+                picks.append(((db, subset), i))
     if not picks:
         raise SchemeError(f"no request eligible for mutation {mutation!r}")
     (db, *_), i = min(picks)
     rows = [list(db_reqs) for db_reqs in table]
-    rows[db][i] = SpirRequest(rows[db][i].base, seed if mutation == "seed-reuse" else None)
+    rows[db][i] = SpirRequest(rows[db][i].terms, seed if mutation == "seed-reuse" else None)
     return tuple(tuple(x) for x in rows)
 
 
@@ -309,10 +301,10 @@ def _slot_tie_breaks(
     database, so relabeling the symbols can reorder those slots. tau maps
     each slot's index in base to its index once its terms are relabeled."""
     slots = [
-        (db, SymbolRequest(_relabel_terms(sr.terms, symbols)), sr.cr)
+        (db, _relabel_terms(sr.terms, symbols), sr.cr)
         for db, db_reqs in enumerate(base, start=1)
         for sr in db_reqs
-        if desired not in sr.base.messages()
+        if desired not in messages(sr.terms)
     ]
     slots.sort(key=lambda slot: slot_key(slot[0], slot[1], desired, params.K))
     return {cr: label for (_, _, cr), label in zip(slots, nonseed_cycle(params, 1))}

@@ -154,7 +154,7 @@ def decode_plan(
     pos = 0
     for db, reqs in enumerate(query, start=1):
         for sr in reqs:
-            terms = sr.base.terms
+            terms = sr.terms
             for m, s in terms:
                 if m == desired:
                     carriers.append((db, pos, terms, sr.cr, s))

@@ -1,6 +1,7 @@
 """Structural oracle for retrieval plans.
 
-Checks a plan against the layout the scheme promises: per-database subset
+Checks a plan against the layout the scheme promises: every request a
+nonempty terms tuple with messages strictly increasing, per-database subset
 counts, each desired symbol requested once, each undesired symbol introduced
 once, and a companion at another database for every larger desired sum. The
 package builds plans and never validates them, so the checks live here.
@@ -10,19 +11,20 @@ from __future__ import annotations
 from spircr.plan import (
     PirPlan,
     SchemeParams,
-    SymbolRequest,
+    Terms,
     format_terms,
+    messages,
     subset_count_problems,
 )
 
 
-def all_requests(plan: PirPlan) -> list[tuple[int, SymbolRequest]]:
+def all_requests(plan: PirPlan) -> list[tuple[int, Terms]]:
     """(database, request) pairs, database by database, 1-based."""
     return [(db + 1, r) for db, reqs in enumerate(plan.per_db) for r in reqs]
 
 
-def symbol_of(request: SymbolRequest, message: int) -> int | None:
-    for m, s in request.terms:
+def symbol_of(request: Terms, message: int) -> int | None:
+    for m, s in request:
         if m == message:
             return s
     return None
@@ -39,8 +41,14 @@ def validate_pir_plan(plan: PirPlan, params: SchemeParams | None = None) -> list
     for db, reqs in enumerate(plan.per_db, start=1):
         counts: dict[tuple[int, ...], int] = {}
         for r in reqs:
-            counts[r.messages()] = counts.get(r.messages(), 0) + 1
-            for m, s in r.terms:
+            if not r:
+                problems.append(f"db{db}: a request has no terms")
+            elif any(a[0] >= b[0] for a, b in zip(r, r[1:])):
+                problems.append(
+                    f"db{db}: {format_terms(r)} is not strictly increasing by message"
+                )
+            counts[messages(r)] = counts.get(messages(r), 0) + 1
+            for m, s in r:
                 if not 1 <= m <= n_msg:
                     problems.append(f"db{db}: message index {m} out of range")
                 if not 1 <= s <= length:
@@ -48,15 +56,15 @@ def validate_pir_plan(plan: PirPlan, params: SchemeParams | None = None) -> list
         problems.extend(f"db{db}: {p}" for p in subset_count_problems(params, counts))
 
     desired_seen: set[int] = set()
-    undesired_seen: dict[tuple[int, int], tuple[int, SymbolRequest]] = {}
+    undesired_seen: dict[tuple[int, int], tuple[int, Terms]] = {}
     for db, r in all_requests(plan):
-        if plan.desired in r.messages():
+        if plan.desired in messages(r):
             s = symbol_of(r, plan.desired)
             if s in desired_seen:
                 problems.append(f"index reuse: desired symbol {s} requested more than once")
             desired_seen.add(s)  # type: ignore[arg-type]
         else:
-            for m, s in r.terms:
+            for m, s in r:
                 key = (m, s)
                 if key in undesired_seen:
                     problems.append(
@@ -74,20 +82,20 @@ def validate_pir_plan(plan: PirPlan, params: SchemeParams | None = None) -> list
     # undesired-only request over exactly its undesired terms.
     by_terms: dict[tuple[tuple[int, int], ...], int] = {}
     for db, r in all_requests(plan):
-        if plan.desired not in r.messages():
-            by_terms[r.terms] = db
+        if plan.desired not in messages(r):
+            by_terms[r] = db
     for db, r in all_requests(plan):
-        if plan.desired in r.messages() and r.size >= 2:
-            rest = r.without(plan.desired)
-            comp_db = by_terms.get(rest.terms)
+        if plan.desired in messages(r) and len(r) >= 2:
+            rest = tuple(t for t in r if t[0] != plan.desired)
+            comp_db = by_terms.get(rest)
             if comp_db is None:
                 problems.append(
                     f"side-information missing: db{db} has no companion for "
-                    f"{format_terms(r.terms)}"
+                    f"{format_terms(r)}"
                 )
             elif comp_db == db:
                 problems.append(
-                    f"side-information missing: companion of {format_terms(r.terms)} "
+                    f"side-information missing: companion of {format_terms(r)} "
                     f"sits at the same database db{db}"
                 )
     return problems

@@ -26,7 +26,7 @@ from spircr.audit import (
     user_privacy_audit,
 )
 from spircr.fields import Seed, SeededStream
-from spircr.plan import SchemeParams, SymbolRequest, plan_with_perms, request_sort_key
+from spircr.plan import SchemeParams, plan_with_perms, request_sort_key
 from spircr.scheme import (
     MUTATIONS,
     SchemeError,
@@ -406,7 +406,7 @@ def _relabel(table, sigma, tau):
         tuple(sorted(
             (
                 SpirRequest(
-                    SymbolRequest(tuple((m, sigma[m - 1][s - 1]) for m, s in sr.terms)),
+                    tuple((m, sigma[m - 1][s - 1]) for m, s in sr.terms),
                     None if sr.cr is None else tau[sr.cr],
                 )
                 for sr in db_reqs
@@ -486,7 +486,7 @@ def test_sampled_queries_carry_the_representative_ranks(n, k):
 def _seed_of(db_query, message):
     """The pool index on the query's 1-sum of message."""
     for sr in db_query:
-        if sr.size == 1 and sr.terms[0][0] == message:
+        if len(sr.terms) == 1 and sr.terms[0][0] == message:
             return sr.cr
     return None
 
@@ -555,7 +555,7 @@ def test_orbit_invariant_refuses_repeated_symbols():
     p = SchemeParams.create(2, 2, 2)
     db_query = representative_table(p, 1)[0]
     assert orbit_invariant(db_query) == ([((1,),), ((1, 2),), ((2,),)], [])
-    doubled = db_query + (SpirRequest(db_query[0].base, None),)
+    doubled = db_query + (SpirRequest(db_query[0].terms, None),)
     with pytest.raises(AuditError, match="appears twice"):
         orbit_invariant(doubled)
 

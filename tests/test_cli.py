@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from spircr.cli import main
+from spircr.net import load_database_state, serve_database
 
 
 def run(capsys, *argv):
@@ -286,3 +287,26 @@ def test_retrieve_rejects_user_file_without_index(capsys, tmp_path):
     _one_line_failure(capsys, ["retrieve", "--n", "2", "--k", "2", "--desired", "1",
                                "--endpoints", "127.0.0.1:1,127.0.0.1:1", "--user", str(user_path)],
                       "retrieval failed")
+
+
+def test_retrieve_rejects_user_value_out_of_range(capsys, tmp_path):
+    # live servers, so only the user file's pool value of -1 can fail it
+    code, out, _ = run(capsys, "provision", "--n", "2", "--k", "2", "--q", "257",
+                       "--out", str(tmp_path))
+    assert code == 0
+    state_path, user_path = (Path(ln.split(":", 1)[1].strip()) for ln in out.splitlines())
+    state = load_database_state(state_path)
+    servers = [serve_database(state, i) for i in (1, 2)]
+    try:
+        endpoints = ",".join(f"{h}:{p}" for h, p in (s.address for s in servers))
+        argv = ["retrieve", "--n", "2", "--k", "2", "--q", "257", "--desired", "1",
+                "--endpoints", endpoints, "--user", str(user_path)]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        doc = json.loads(user_path.read_text())
+        doc["value"] = -1
+        user_path.write_text(json.dumps(doc))
+        _one_line_failure(capsys, argv, "retrieval failed: field 'value' = -1 outside [0, 257)")
+    finally:
+        for s in servers:
+            s.stop()

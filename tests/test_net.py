@@ -179,8 +179,8 @@ def test_refused_queries_get_errors_then_the_connection_answers(served):
     _, user = load_user_file(user_path)
     query = select_query(params, 1, user.index, SeededStream(master.derive("query")))
     honest = query[0]
-    unmasked = honest[:-1] + (SpirRequest(honest[-1].base, None),)
-    shared = honest[:-1] + (SpirRequest(honest[-1].base, honest[0].cr),)
+    unmasked = honest[:-1] + (SpirRequest(honest[-1].terms, None),)
+    shared = honest[:-1] + (SpirRequest(honest[-1].terms, honest[0].cr),)
     with socket.create_connection(addresses[0]) as sock:
         for reqs, reason in [(unmasked, b"unmasked request"), (shared, b"masks 2 requests")]:
             write_frame(sock, Frame(FrameType.QUERY, encode_query_payload(params, reqs)))
@@ -268,6 +268,22 @@ def test_malformed_user_file_raises_net_error(tmp_path, drop, replace):
     doc.update(replace)
     user_path.write_text(json.dumps(doc))
     with pytest.raises(NetError):
+        load_user_file(user_path)
+
+
+@pytest.mark.parametrize("field,value,match", [
+    ("index", 0, r"field 'index' = 0 outside \[1, 3\]"),
+    ("index", 4, r"field 'index' = 4 outside \[1, 3\]"),
+    ("value", -1, r"field 'value' = -1 outside \[0, 257\)"),
+    ("value", 257, r"field 'value' = 257 outside \[0, 257\)"),
+], ids=["index-0", "index-past-pool", "value-negative", "value-q"])
+def test_user_file_entry_out_of_range_raises_net_error(tmp_path, field, value, match):
+    # a pool entry outside the instance would decode a wrong message silently
+    _, _, _, user_path = make_state(tmp_path, label="user-range")
+    doc = json.loads(user_path.read_text())
+    doc[field] = value
+    user_path.write_text(json.dumps(doc))
+    with pytest.raises(NetError, match=match):
         load_user_file(user_path)
 
 

@@ -7,11 +7,11 @@ from spircr.fields import Seed, SeededStream
 from spircr.plan import (
     PirPlan,
     SchemeParams,
-    SymbolRequest,
     build_pir_plan,
     cr_pool_size,
     identity_plan,
     message_length,
+    messages,
     subset_rank,
     total_download,
     _ranked_subsets,
@@ -48,35 +48,45 @@ def test_params_validation():
         SchemeParams(N=2, K=2, q=257, L=5, rs_size=3, ru_size=1)
 
 
-def test_symbol_request_ordering_and_accessors():
-    r = SymbolRequest(((1, 1), (2, 3)))
-    assert r.size == 2
-    assert r.messages() == (1, 2)
+def test_request_terms_helpers():
+    r = ((1, 1), (2, 3))
+    assert messages(r) == (1, 2)
     assert symbol_of(r, 2) == 3
     assert symbol_of(r, 3) is None
-    assert r.without(2).terms == ((1, 1),)
-    with pytest.raises(ValueError):
-        SymbolRequest(((2, 3), (1, 1)))  # must come sorted by message
-    with pytest.raises(ValueError):
-        SymbolRequest(((1, 1), (1, 2)))  # one message twice
+
+
+@pytest.mark.parametrize("bad,problem", [
+    (((2, 3), (1, 1)), "W2[3]+W1[1] is not strictly increasing by message"),
+    (((1, 1), (1, 2)), "W1[1]+W1[2] is not strictly increasing by message"),
+    ((), "a request has no terms"),
+])
+def test_validator_catches_unordered_terms(bad, problem):
+    # a request's messages must be nonempty and strictly increasing; swap one
+    # into database 1 of a valid plan in place of its 2-sum
+    p = SchemeParams.create(2, 2, 257)
+    good = identity_plan(p, 1)
+    assert validate_pir_plan(good) == []
+    db1 = good.per_db[0][:-1] + (bad,)
+    problems = validate_pir_plan(PirPlan(p, 1, (db1, good.per_db[1])))
+    assert f"db1: {problem}" in problems
 
 
 def test_single_db_three_messages_structure():
     p = SchemeParams.create(1, 3, 5)
     plan = identity_plan(p, 2)
     assert len(plan.per_db) == 1
-    assert [r.terms for r in plan.per_db[0]] == [((1, 1),), ((2, 1),), ((3, 1),)]
+    assert list(plan.per_db[0]) == [((1, 1),), ((2, 1),), ((3, 1),)]
     assert validate_pir_plan(plan) == []
 
 
 def test_two_db_two_messages_structure():
     p = SchemeParams.create(2, 2, 257)
     plan = identity_plan(p, 1)
-    shapes = [[r.messages() for r in db] for db in plan.per_db]
+    shapes = [[messages(r) for r in db] for db in plan.per_db]
     assert shapes == [[(1,), (2,), (1, 2)], [(1,), (2,), (1, 2)]]
     # identity orderings pin the exact symbol layout
-    assert [r.terms for r in plan.per_db[0]] == [((1, 1),), ((2, 1),), ((1, 3), (2, 2))]
-    assert [r.terms for r in plan.per_db[1]] == [((1, 2),), ((2, 2),), ((1, 4), (2, 1))]
+    assert list(plan.per_db[0]) == [((1, 1),), ((2, 1),), ((1, 3), (2, 2))]
+    assert list(plan.per_db[1]) == [((1, 2),), ((2, 2),), ((1, 4), (2, 1))]
     assert validate_pir_plan(plan) == []
 
 
@@ -84,7 +94,7 @@ def test_two_db_three_messages_counts():
     p = SchemeParams.create(2, 3, 2)
     plan = build_pir_plan(p, 1, stream("counts"))
     for db in plan.per_db:
-        sizes = sorted(r.size for r in db)
+        sizes = sorted(len(r) for r in db)
         assert sizes == [1, 1, 1, 2, 2, 2, 3]
     assert sum(len(db) for db in plan.per_db) == 14
     assert Fraction(total_download(2, 3), p.L) == Fraction(14, 8)
@@ -102,7 +112,7 @@ def test_grid_counts_and_validity(n, k):
             for t in range(1, k + 1):
                 per_subset = (n - 1) ** (t - 1)
                 want = per_subset * len(list(itertools.combinations(range(k), t)))
-                assert sum(1 for r in db if r.size == t) == want
+                assert sum(1 for r in db if len(r) == t) == want
 
 
 @pytest.mark.parametrize("n,k", GRID)
@@ -113,7 +123,7 @@ def test_shape_symmetry_across_desired(n, k):
     reference = None
     for desired in range(1, k + 1):
         plan = build_pir_plan(p, desired, stream(f"shape-{n}-{k}-{desired}"))
-        shapes = [sorted(r.messages() for r in db) for db in plan.per_db]
+        shapes = [sorted(messages(r) for r in db) for db in plan.per_db]
         if reference is None:
             reference = shapes
         else:
@@ -130,7 +140,7 @@ def test_plan_decodable_by_elimination(n, k):
     rows = []
     for _, r in all_requests(plan):
         vec = [0] * cols
-        for m, s in r.terms:
+        for m, s in r:
             vec[(m - 1) * p.L + (s - 1)] = 1
         rows.append(vec)
     for i in range(p.L):
@@ -157,7 +167,7 @@ def test_single_db_plan_is_the_one_sums(k):
     p = SchemeParams.create(1, k, 2)
     for desired in range(1, k + 1):
         plan = identity_plan(p, desired)
-        assert [r.terms for r in plan.per_db[0]] == [((m, 1),) for m in range(1, k + 1)]
+        assert list(plan.per_db[0]) == [((m, 1),) for m in range(1, k + 1)]
         assert validate_pir_plan(plan) == []
 
 
@@ -172,8 +182,7 @@ def test_determinism():
 
 def test_validator_catches_index_reuse():
     p = SchemeParams.create(1, 3, 5)
-    reqs = [SymbolRequest(((1, 1),)), SymbolRequest(((2, 1),)), SymbolRequest(((2, 1),))]
-    plan = PirPlan(p, 3, (tuple(reqs),))
+    plan = PirPlan(p, 3, ((((1, 1),), ((2, 1),), ((2, 1),)),))
     problems = validate_pir_plan(plan)
     assert any("index reuse" in msg for msg in problems)
 
@@ -181,8 +190,8 @@ def test_validator_catches_index_reuse():
 def test_validator_catches_missing_companion():
     p = SchemeParams.create(2, 2, 257)
     good = identity_plan(p, 1)
-    broken_db2 = [r for r in good.per_db[1] if r.size == 1]
-    broken_db2.append(SymbolRequest(((1, 4), (2, 3))))  # companion b_3 nowhere
+    broken_db2 = [r for r in good.per_db[1] if len(r) == 1]
+    broken_db2.append(((1, 4), (2, 3)))  # companion b_3 nowhere
     plan = PirPlan(p, 1, (good.per_db[0], tuple(broken_db2)))
     problems = validate_pir_plan(plan)
     assert any("side-information missing" in msg for msg in problems)

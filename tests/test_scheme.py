@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import spircr
 from spircr.fields import Seed, SeededStream
-from spircr.plan import PirPlan, SchemeParams, build_pir_plan, identity_plan
+from spircr.plan import PirPlan, SchemeParams, build_pir_plan, identity_plan, messages
 from spircr.scheme import (
     MUTATIONS,
     SchemeError,
@@ -147,7 +148,7 @@ def test_select_query_structure_valid():
     for n, k in GRID:
         p = SchemeParams.create(n, k)
         table = select_query(p, 1, 1, stream(f"sq-{n}-{k}"))
-        stripped = PirPlan(p, 1, tuple(tuple(sr.base for sr in db_reqs) for db_reqs in table))
+        stripped = PirPlan(p, 1, tuple(tuple(sr.terms for sr in db_reqs) for db_reqs in table))
         assert validate_pir_plan(stripped) == []
         for db_reqs in table:
             assert sorted(sr.cr for sr in db_reqs) == list(range(1, p.rs_size + 1))
@@ -159,7 +160,7 @@ def test_select_query_seed_lands_on_user_index():
         table = select_query(p, 1, u, stream(f"seed-{u}"))
         for db_reqs in table:
             for sr in db_reqs:
-                if sr.base.messages() == (1,):
+                if messages(sr.terms) == (1,):
                     assert sr.cr == u
 
 
@@ -202,6 +203,29 @@ def test_select_query_relabels_like_the_composed_steps(n, k):
                         seed, desired, u, mutation
                     )
                     assert ours.randrange(1 << 30) == after
+
+
+@pytest.mark.parametrize("n,k", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_every_request_is_one_object(n, k):
+    # a request is (terms, mask) and nothing more: terms a tuple of
+    # (message, symbol) int pairs, messages strictly increasing
+    p = SchemeParams.create(n, k, 2)
+    mutations = [m for m in MUTATIONS if n >= 2 or m != "bare-companion"]
+    for desired in range(1, k + 1):
+        for mutation in (None, *mutations):
+            rng = stream(f"one-object-{n}-{k}-{desired}-{mutation}")
+            table = select_query(p, desired, 1 + desired % p.rs_size, rng, mutation)
+            for sr in (sr for db_reqs in table for sr in db_reqs):
+                assert type(sr) is SpirRequest
+                assert type(sr.terms) is tuple and sr.terms
+                assert all(
+                    type(t) is tuple and len(t) == 2 and all(type(x) is int for x in t)
+                    for t in sr.terms
+                )
+                ms = [m for m, _ in sr.terms]
+                assert all(a < b for a, b in zip(ms, ms[1:])), sr.terms
+    assert not hasattr(spircr, "SymbolRequest")
+    assert "SymbolRequest" not in spircr.__all__
 
 
 def test_measured_rates_golden():
@@ -253,10 +277,10 @@ def test_mutations_change_the_right_slot():
     assert sum(1 for sr in flat if sr.cr == 1) == 3  # seed now on one undesired sum too
 
     unmasked = apply_mutation(table, 1, 1, "unmask-one")
-    assert any(sr.cr is None and sr.base.messages() == (2,) for db in unmasked for sr in db)
+    assert any(sr.cr is None and messages(sr.terms) == (2,) for db in unmasked for sr in db)
 
     bare = apply_mutation(table, 1, 1, "bare-companion")
-    assert any(sr.cr is None and sr.size == 2 for db in bare for sr in db)
+    assert any(sr.cr is None and len(sr.terms) == 2 for db in bare for sr in db)
 
     with pytest.raises(SchemeError):
         apply_mutation(select_query(SchemeParams.create(1, 2, 2), 1, 1, stream("m")), 1, 1, "bare-companion")
@@ -269,7 +293,7 @@ def test_validate_query_cell_flags_seed_misuse():
     table = assign_common_randomness(identity_plan(p, 1), p)
     broken = tuple(
         tuple(
-            SpirRequest(sr.base, 2 if sr.base.messages() == (1,) and db == 0 else sr.cr)
+            SpirRequest(sr.terms, 2 if messages(sr.terms) == (1,) and db == 0 else sr.cr)
             for sr in db_reqs
         )
         for db, db_reqs in enumerate(table)

@@ -18,7 +18,6 @@ from spircr.sim import (
     query_columns,
     run_retrieval,
 )
-from spircr.plan import SymbolRequest
 
 GRID = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)]
 
@@ -62,16 +61,14 @@ def test_answer_query_golden_single_db():
     # the fixture row: answers are (W1+S1, W2+S2, W3+S3) evaluated pointwise
     p = SchemeParams.create(1, 3, 5)
     state = DatabaseState(p, (2, 3, 4, 1, 2, 3))
-    reqs = tuple(
-        SpirRequest(SymbolRequest(((m, 1),)), m) for m in (1, 2, 3)
-    )
+    reqs = tuple(SpirRequest(((m, 1),), m) for m in (1, 2, 3))
     assert answer_query(query_columns(p, reqs), state) == (3, 0, 2)
 
 
 def test_answer_query_gf2_wraps():
     p = SchemeParams.create(1, 2, 2)
     state = DatabaseState(p, (1, 0, 1, 0))
-    reqs = (SpirRequest(SymbolRequest(((1, 1),)), 1),)
+    reqs = (SpirRequest(((1, 1),), 1),)
     assert answer_query(query_columns(p, reqs), state) == (0,)
 
 
@@ -83,7 +80,7 @@ def test_answer_query_range_errors():
     for terms, cr in [(((1, 2),), 1), (((1, 0),), 1), (((0, 1),), 1),
                       (((1, 1),), 9), (((1, 1),), 0), (((1, 1),), -1)]:
         with pytest.raises(SimError):
-            answer_query(query_columns(p, (SpirRequest(SymbolRequest(terms), cr),)), state)
+            answer_query(query_columns(p, (SpirRequest(terms, cr),)), state)
 
 
 @pytest.mark.parametrize("n,k", GRID)

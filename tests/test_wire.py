@@ -4,7 +4,7 @@ import struct
 import pytest
 
 from spircr.fields import Seed, SeededStream
-from spircr.plan import SchemeParams, SymbolRequest
+from spircr.plan import SchemeParams
 from spircr.scheme import SpirRequest, select_query
 from spircr.sim import request_columns
 from spircr.wire import (
@@ -75,8 +75,8 @@ def test_unmasked_request_encodes_but_is_refused():
     # faulted tables); no server admits it
     p = SchemeParams.create(1, 2, 5)
     reqs = (
-        SpirRequest(SymbolRequest(((1, 1),)), None),
-        SpirRequest(SymbolRequest(((2, 1),)), 2),
+        SpirRequest(((1, 1),), None),
+        SpirRequest(((2, 1),), 2),
     )
     payload = encode_query_payload(p, reqs)
     assert payload[16 + 2 + 6 : 16 + 2 + 6 + 4] == bytes(4)
@@ -91,9 +91,7 @@ HONEST = (((1, 1),), 1), (((2, 1),), 2), (((1, 2), (2, 2)), 3)
 
 
 def _payload(reqs):
-    return encode_query_payload(
-        ADMIT, tuple(SpirRequest(SymbolRequest(terms), cr) for terms, cr in reqs)
-    )
+    return encode_query_payload(ADMIT, tuple(SpirRequest(terms, cr) for terms, cr in reqs))
 
 
 REFUSED = {
