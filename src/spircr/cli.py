@@ -296,19 +296,20 @@ def cmd_region(parser, args) -> int:
 def cmd_provision(parser, args) -> int:
     params = _params(parser, args)
     master = Seed.from_text(args.seed)
-    state_path, user_path = provision(
-        params,
-        master.derive("messages"),
-        master.derive("pool"),
-        master.derive("user"),
-        args.out,
-    )
+    seeds = (master.derive(name) for name in ("messages", "pool", "user"))
+    try:
+        state_path, user_path = provision(params, *seeds, args.out)
+    except OSError as e:
+        print(f"cannot write to {args.out}: {e}", file=sys.stderr)
+        return 1
     print(f"database state: {state_path}")
     print(f"user file:      {user_path}")
     return 0
 
 
 def cmd_serve(parser, args) -> int:
+    if not 0 <= args.port <= 65535:
+        return _usage_error(f"--port {args.port} is not in 0..65535")
     try:
         state = load_database_state(args.state)
     except (NetError, OSError, ValueError) as e:
@@ -316,7 +317,11 @@ def cmd_serve(parser, args) -> int:
         return 1
     if not 1 <= args.db_index <= state.params.N:
         parser.error(f"--db-index must be in [1, {state.params.N}]")
-    server = serve_database(state, args.db_index, args.host, args.port)
+    try:
+        server = serve_database(state, args.db_index, args.host, args.port)
+    except OSError as e:
+        print(f"cannot serve on {args.host}:{args.port}: {e}", file=sys.stderr)
+        return 1
     host, port = server.address
     print(f"database {args.db_index} listening on {host}:{port}", flush=True)
     try:

@@ -2,8 +2,10 @@
 
 The dealer writes one state file shared verbatim by all databases (message
 store plus mask pool) and one small user file holding only the user's own
-(index, value) pool entry. Servers answer queries over the framed protocol;
-the client decodes locally.
+(index, value) pool entry. A server answers every connection from one
+thread; the client decodes locally. A server's sockets never block: a peer
+that does not read its replies is dropped once its send buffer fills, and a
+connection that completes no frame in 30 s is closed.
 
 A server answers a QUERY frame in one pass from its octets to the columns
 of X each request sums (wire.decode_query_payload), and admits it only in
@@ -29,10 +31,12 @@ from __future__ import annotations
 
 import json
 import select
+import selectors
 import socket
-import socketserver
 import struct
 import threading
+import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401  perfbench/tracing.py subclasses it
 from pathlib import Path
 
@@ -49,7 +53,7 @@ from .sim import (
 )
 from .wire import (
     Frame,
-    FrameReader,
+    FrameBuffer,
     FrameType,
     WireError,
     decode_answer_payload,
@@ -163,75 +167,23 @@ def load_user_file(path: str | Path) -> tuple[SchemeParams, UserRandomness]:
     return params, UserRandomness(index=index, value=value)
 
 
-class _Handler(socketserver.BaseRequestHandler):
-    def setup(self) -> None:
-        self.server.track(self.request)  # type: ignore[attr-defined]
-
-    def handle(self) -> None:
-        server: DatabaseServer = self.server  # type: ignore[assignment]
-        sock: socket.socket = self.request
-        sock.settimeout(30.0)
-        reader = FrameReader(sock)
-        while True:
-            try:
-                frame = reader.read()
-            except (WireError, OSError):
-                return
-            if frame is None:
-                return
-            try:
-                write_frame(sock, server.handle_frame(frame))
-            except OSError:
-                return
-
-    def finish(self) -> None:
-        self.server.untrack(self.request)  # type: ignore[attr-defined]
+_IDLE_S = 30.0  # so that silent peers cannot pin file descriptors
+# Octets one recv asks for; a longer frame takes more than one.
+_RECV_SIZE = 1 << 16
 
 
-# How often the serve loop looks for a shutdown request, which bounds stop().
-_POLL_INTERVAL_S = 0.05
-
-
-def _shut(sock: socket.socket) -> None:
-    """End both directions of a served connection; its handler then sees EOF."""
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:  # the peer or the handler closed it first
-        pass
-
-
-class DatabaseServer(socketserver.ThreadingTCPServer):
-    """One replicated database serving masked sums over TCP."""
-
-    allow_reuse_address = True
-    daemon_threads = True
+class DatabaseServer:
+    """One replicated database serving masked sums over TCP from one thread."""
 
     def __init__(self, state: DatabaseState, db_index: int, host: str = "127.0.0.1", port: int = 0):
-        super().__init__((host, port), _Handler)
         self.state = state
         self.db_index = db_index
-        self._thread: threading.Thread | None = None
-        # Connections being served, so that stop() can end them: clients
-        # keep their connections open across retrievals.
-        self._open: set[socket.socket] = set()
-        self._open_lock = threading.Lock()
-        self._stopped = False
-
-    @property
-    def address(self) -> tuple[str, int]:
-        host, port = self.server_address[:2]
-        return str(host), int(port)
-
-    def track(self, sock: socket.socket) -> None:
-        with self._open_lock:
-            if not self._stopped:
-                self._open.add(sock)
-                return
-        _shut(sock)
-
-    def untrack(self, sock: socket.socket) -> None:
-        with self._open_lock:
-            self._open.discard(sock)
+        self._listener = socket.create_server((host, port))
+        self._listener.setblocking(False)
+        self.address = self._listener.getsockname()[:2]
+        # stop() closes _wake, so the serving thread reads EOF on _woken
+        self._woken, self._wake = socket.socketpair()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
 
     def handle_frame(self, frame: Frame) -> Frame:
         """The reply to one frame: ANSWER to an admitted QUERY, else ERROR."""
@@ -249,23 +201,67 @@ class DatabaseServer(socketserver.ThreadingTCPServer):
         )
 
     def start(self) -> "DatabaseServer":
-        self._thread = threading.Thread(
-            target=self.serve_forever, args=(_POLL_INTERVAL_S,), daemon=True
-        )
         self._thread.start()
         return self
 
+    def _serve(self) -> None:
+        """Answer each whole frame as it arrives, until stop(). A connection ends on
+        EOF, a bad header, any OSError (a full send buffer too) or _IDLE_S idle."""
+        sel = selectors.DefaultSelector()
+        sel.register(self._listener, selectors.EVENT_READ)
+        sel.register(self._woken, selectors.EVENT_READ)
+        deadlines: dict[socket.socket, float] = {}  # every open connection
+        sweep = time.monotonic() + _IDLE_S
+        try:
+            while True:
+                ready = sel.select(sweep - time.monotonic())
+                now = time.monotonic()
+                for key, _ in ready:
+                    sock = key.fileobj
+                    if key.data is not None:
+                        try:
+                            data = sock.recv(_RECV_SIZE)
+                            frames = key.data.feed(data)
+                            for frame in frames:
+                                write_frame(sock, self.handle_frame(frame))
+                        except (OSError, WireError):
+                            data = b""
+                        except Exception:  # a fault of this server: drop one connection, keep serving
+                            traceback.print_exc()
+                            data = b""
+                        if not data:  # ended: the sweep below closes it
+                            deadlines[sock] = sweep = 0.0
+                        elif frames:
+                            deadlines[sock] = now + _IDLE_S
+                    elif sock is self._listener:
+                        try:
+                            conn, _ = sock.accept()
+                        except OSError:  # e.g. out of file descriptors
+                            continue
+                        conn.setblocking(False)
+                        sel.register(conn, selectors.EVENT_READ, FrameBuffer())
+                        deadlines[conn] = now + _IDLE_S
+                    else:
+                        return
+                if now >= sweep:
+                    for sock, deadline in list(deadlines.items()):
+                        if deadline <= now:
+                            sel.unregister(sock)
+                            del deadlines[sock]
+                            sock.close()
+                    sweep = min(deadlines.values(), default=now + _IDLE_S)
+        finally:
+            for sock in deadlines:
+                sock.close()
+            sel.close()
+
     def stop(self) -> None:
         """Stop accepting and end every open connection; none is answered after."""
-        self.shutdown()
-        self.server_close()
-        with self._open_lock:
-            self._stopped = True
-            served = list(self._open)
-        for sock in served:
-            _shut(sock)
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
+        self._wake.close()
+        if self._thread.ident is not None:
+            self._thread.join()
+        self._listener.close()
+        self._woken.close()
 
 
 def serve_database(

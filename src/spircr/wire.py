@@ -53,8 +53,6 @@ _QUERY_HEAD = struct.Struct(">HHII")
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _TERM = struct.Struct(">HI")
-# Octets one recv asks for; a longer frame takes more than one.
-_RECV_SIZE = 1 << 16
 
 
 class FrameType(IntEnum):
@@ -81,10 +79,10 @@ def encode_frame(frame: Frame) -> bytes:
     return _HEADER.pack(MAGIC, VERSION, int(frame.ftype), len(frame.payload)) + frame.payload
 
 
-def _frame_header(data: bytes) -> tuple[FrameType, int]:
-    """Check the header at the start of data (at least a whole header); the
-    frame's type and declared payload length."""
-    magic, version, ftype, length = _HEADER.unpack_from(data)
+def _frame_header(data: bytes, pos: int = 0) -> tuple[FrameType, int]:
+    """Check the header at data[pos:] (at least a whole header); the frame's
+    type and declared payload length."""
+    magic, version, ftype, length = _HEADER.unpack_from(data, pos)
     if magic != MAGIC:
         raise WireError(f"bad magic {magic!r}")
     if version != VERSION:
@@ -268,38 +266,36 @@ def write_frame(sock: socket.socket, frame: Frame) -> None:
     sock.sendall(encode_frame(frame))
 
 
-class FrameReader:
-    """Reads frames from one socket, with one recv per frame when the frame
-    arrives whole. Octets past a frame (a pipelined next one) wait in the
-    reader for the next read."""
+class FrameBuffer:
+    """Splits the octets one connection receives into frames, without
+    blocking. Octets past the last whole frame (the start of a pipelined
+    next one) wait for the next feed."""
 
-    def __init__(self, sock: socket.socket):
-        self._sock = sock
-        self._pending = b""
+    def __init__(self) -> None:
+        self._pending = bytearray()
 
-    def read(self) -> Frame | None:
-        """The next frame; None on clean EOF at a frame boundary."""
-        buf = self._pending
-        while len(buf) < _HEADER.size:
-            chunk = self._sock.recv(_RECV_SIZE)
-            if not chunk:
-                if not buf:
-                    return None
-                raise WireError(
-                    f"connection closed mid-frame ({len(buf)} of {_HEADER.size} octets)"
-                )
-            buf += chunk
-        kind, length = _frame_header(buf)
-        end = _HEADER.size + length
-        while len(buf) < end:
-            chunk = self._sock.recv(max(end - len(buf), _RECV_SIZE))
-            if not chunk:
-                raise WireError(
-                    f"connection closed mid-frame ({len(buf) - _HEADER.size} of {length} octets)"
-                )
-            buf += chunk
-        self._pending = buf[end:]
-        return Frame(kind, buf[_HEADER.size : end])
+    def feed(self, data: bytes) -> list[Frame]:
+        """Every frame that data completes, in order. Raises WireError on a
+        bad header as soon as the header is whole."""
+        pending = self._pending
+        if pending:
+            pending += data
+            data = pending
+        frames = []
+        pos, size = 0, len(data)
+        while size - pos >= _HEADER.size:
+            kind, length = _frame_header(data, pos)
+            start = pos + _HEADER.size
+            end = start + length
+            if end > size:
+                break
+            frames.append(Frame(kind, bytes(data[start:end])))
+            pos = end
+        if data is pending:
+            del pending[:pos]
+        elif pos < size:
+            pending += data[pos:]
+        return frames
 
 
 def _read_exact(sock: socket.socket, n: int, *, allow_eof: bool) -> bytes | None:

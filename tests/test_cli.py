@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -276,6 +277,36 @@ def test_serve_rejects_malformed_state(capsys, tmp_path):
     no_params.write_bytes(b'{"kind": "database-state", "symbol_count": 0}\n')
     _one_line_failure(capsys, ["serve", "--state", str(no_params), "--db-index", "1"],
                       "cannot load state")
+
+
+def _provisioned_state(capsys, tmp_path):
+    code, out, _ = run(capsys, "provision", "--n", "2", "--k", "2", "--out", str(tmp_path))
+    assert code == 0
+    return out.splitlines()[0].split(":", 1)[1].strip()
+
+
+def test_serve_on_a_port_in_use_fails_in_one_line(capsys, tmp_path):
+    state_path = _provisioned_state(capsys, tmp_path)
+    with socket.create_server(("127.0.0.1", 0)) as held:
+        port = str(held.getsockname()[1])
+        _one_line_failure(capsys, ["serve", "--state", state_path, "--db-index", "1",
+                                   "--port", port], f"cannot serve on 127.0.0.1:{port}: ")
+
+
+def test_serve_port_out_of_range_is_usage_error(capsys, tmp_path):
+    state_path = _provisioned_state(capsys, tmp_path)
+    code, out, err = run(capsys, "serve", "--state", state_path, "--db-index", "1",
+                         "--port", "70000")
+    assert code == 2
+    assert out == ""
+    assert err == "--port 70000 is not in 0..65535\n"
+
+
+def test_provision_under_a_file_fails_in_one_line(capsys, tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    _one_line_failure(capsys, ["provision", "--n", "2", "--k", "2",
+                               "--out", str(blocker / "depot")], f"cannot write to {blocker}")
 
 
 def test_retrieve_rejects_user_file_without_index(capsys, tmp_path):

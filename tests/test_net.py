@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import socket
@@ -444,3 +445,78 @@ def test_concurrent_sessions_under_fast_switching(pair):
     assert not any(th.is_alive() for th in threads)
     assert len(results) == 30
     assert tuple(pair.addresses) in net._idle
+
+
+def test_open_connections_start_no_thread(served):
+    _, _, _, addresses = served
+    before = set(threading.enumerate())
+    socks = [socket.create_connection(addresses[i % 2], timeout=5.0) for i in range(4)]
+    try:
+        for sock in socks:
+            write_frame(sock, Frame(FrameType.HELLO, b""))
+            assert read_frame(sock).ftype == FrameType.HELLO
+        assert set(threading.enumerate()) <= before
+    finally:
+        for sock in socks:
+            sock.close()
+
+
+def test_a_failed_accept_keeps_the_server_serving(served, monkeypatch):
+    _, _, _, addresses = served
+    real = socket.socket.accept
+    failed = []
+
+    def accept(sock):
+        if not failed:
+            failed.append(sock)
+            raise OSError(errno.EMFILE, "Too many open files")
+        return real(sock)
+
+    monkeypatch.setattr(socket.socket, "accept", accept)
+    with socket.create_connection(addresses[0], timeout=5.0) as sock:
+        write_frame(sock, Frame(FrameType.HELLO, b""))
+        assert read_frame(sock).ftype == FrameType.HELLO
+    assert len(failed) == 1
+
+
+def test_half_a_frame_does_not_delay_a_retrieval(pair):
+    hello = encode_frame(Frame(FrameType.HELLO, b""))
+    with socket.create_connection(pair.addresses[0], timeout=5.0) as stalled:
+        stalled.sendall(hello[:5])
+        started = time.monotonic()
+        pair.retrieve(1, "past-half")
+        assert time.monotonic() - started < 1.0
+        stalled.sendall(hello[5:])
+        assert read_frame(stalled).ftype == FrameType.HELLO
+
+
+def test_a_peer_that_never_reads_is_dropped(pair):
+    # each frame draws an ERROR reply several times its size
+    mismatch = SchemeParams.create(2, 2, 263)
+    frame = encode_frame(Frame(FrameType.QUERY, encode_query_payload(mismatch, ())))
+    with socket.socket() as hog:
+        hog.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1024)
+        hog.settimeout(5.0)
+        hog.connect(pair.addresses[0])
+        started = time.monotonic()
+        with pytest.raises((ConnectionResetError, BrokenPipeError)):
+            while time.monotonic() - started < 5.0:
+                hog.sendall(frame * 100)
+        assert time.monotonic() - started < 1.0
+        pair.retrieve(2, "past-hog")
+
+
+def test_silent_connections_are_closed(monkeypatch, tmp_path):
+    monkeypatch.setattr(net, "_IDLE_S", 0.3)
+    _, _, state_path, _ = make_state(tmp_path, label="idle")
+    server = serve_database(load_database_state(state_path), 1)
+    try:
+        with socket.create_connection(server.address, timeout=5.0) as silent, \
+                socket.create_connection(server.address, timeout=5.0) as partial:
+            partial.sendall(encode_frame(Frame(FrameType.HELLO, b""))[:5])
+            started = time.monotonic()
+            assert silent.recv(1) == b""
+            assert partial.recv(1) == b""
+            assert 0.2 < time.monotonic() - started < 3.0
+    finally:
+        server.stop()

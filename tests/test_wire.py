@@ -10,8 +10,9 @@ from spircr.sim import request_columns
 from spircr.wire import (
     MAGIC,
     VERSION,
+    MAX_PAYLOAD,
     Frame,
-    FrameReader,
+    FrameBuffer,
     FrameType,
     WireError,
     decode_answer_payload,
@@ -162,27 +163,37 @@ def test_decode_frame_rejects_garbage():
         decode_frame(good + b"!")
 
 
-class _Chunks:
-    """A socket stand-in whose recv returns the given chunks, then EOF."""
-
-    def __init__(self, *chunks):
-        self.chunks = list(chunks)
-
-    def recv(self, n):
-        return self.chunks.pop(0)[:n] if self.chunks else b""
-
-
-def test_frame_reader_reassembles_and_keeps_pipelined_octets():
+def test_frame_buffer_reassembles_and_keeps_pipelined_octets():
     one = encode_frame(Frame(FrameType.ANSWER, b"abcdef"))
     two = encode_frame(Frame(FrameType.HELLO, b""))
-    reader = FrameReader(_Chunks(one[:3], one[3:12], one[12:] + two[:4], two[4:]))
-    assert reader.read() == Frame(FrameType.ANSWER, b"abcdef")
-    assert reader.read() == Frame(FrameType.HELLO, b"")
-    assert reader.read() is None
-    with pytest.raises(WireError, match="closed mid-frame"):
-        FrameReader(_Chunks(one[:-1])).read()
-    with pytest.raises(WireError, match="closed mid-frame"):
-        FrameReader(_Chunks(one[:4])).read()
+    buf = FrameBuffer()
+    assert buf.feed(one[:3]) == []
+    assert buf.feed(one[3:12]) == []
+    assert buf.feed(one[12:] + two[:4]) == [Frame(FrameType.ANSWER, b"abcdef")]
+    assert buf.feed(two[4:]) == [Frame(FrameType.HELLO, b"")]
+    assert buf.feed(two + one[:11]) == [Frame(FrameType.HELLO, b"")]
+    assert buf.feed(one[11:] + two) == [
+        Frame(FrameType.ANSWER, b"abcdef"),
+        Frame(FrameType.HELLO, b""),
+    ]
+
+
+def test_frame_buffer_takes_a_largest_frame_in_pieces():
+    payload = bytes(range(256)) * (MAX_PAYLOAD // 256)
+    data = encode_frame(Frame(FrameType.ANSWER, payload))
+    buf = FrameBuffer()
+    piece = 1 << 16
+    frames = [f for i in range(0, len(data), piece) for f in buf.feed(data[i : i + piece])]
+    assert frames == [Frame(FrameType.ANSWER, payload)]
+    assert buf.feed(b"") == []
+
+
+def test_frame_buffer_refuses_a_bad_header_once_it_is_whole():
+    bad = b"SPIX" + encode_frame(Frame(FrameType.HELLO, b""))[4:]
+    buf = FrameBuffer()
+    assert buf.feed(bad[:9]) == []
+    with pytest.raises(WireError, match="bad magic"):
+        buf.feed(bad[9:10])
 
 
 def test_query_payload_rejects_malformed():
