@@ -296,9 +296,14 @@ def cmd_region(parser, args) -> int:
 def cmd_provision(parser, args) -> int:
     params = _params(parser, args)
     master = Seed.from_text(args.seed)
-    seeds = (master.derive(name) for name in ("messages", "pool", "user"))
     try:
-        state_path, user_path = provision(params, *seeds, args.out)
+        state_path, user_path = provision(
+            params,
+            master.derive("messages"),
+            master.derive("pool"),
+            master.derive("user"),
+            args.out,
+        )
     except OSError as e:
         print(f"cannot write to {args.out}: {e}", file=sys.stderr)
         return 1

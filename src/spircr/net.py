@@ -3,9 +3,10 @@
 The dealer writes one state file shared verbatim by all databases (message
 store plus mask pool) and one small user file holding only the user's own
 (index, value) pool entry. A server answers every connection from one
-thread; the client decodes locally. A server's sockets never block: a peer
-that does not read its replies is dropped once its send buffer fills, and a
-connection that completes no frame in 30 s is closed.
+thread; the client decodes locally. A server's sockets never block: a reply
+its peer has no room for yet waits, and that connection is not read until
+the peer takes it. A connection that moves no octet either way for 30 s is
+closed, so a silent peer, or one that stops reading its replies, is dropped.
 
 A server answers a QUERY frame in one pass from its octets to the columns
 of X each request sums (wire.decode_query_payload), and admits it only in
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import json
 import select
-import selectors
 import socket
 import struct
 import threading
@@ -61,6 +61,7 @@ from .wire import (
     decode_query_payload,
     encode_answer_payload,
     encode_error_payload,
+    encode_frame,
     encode_query_payload,
     read_frame,
     write_frame,
@@ -172,6 +173,14 @@ _IDLE_S = 30.0  # so that silent peers cannot pin file descriptors
 _RECV_SIZE = 1 << 16
 
 
+def _send(sock: socket.socket, data) -> int:
+    """Octets of data a non-blocking socket took now; 0 if it had no room."""
+    try:
+        return sock.send(data)
+    except BlockingIOError:
+        return 0
+
+
 class DatabaseServer:
     """One replicated database serving masked sums over TCP from one thread."""
 
@@ -205,55 +214,82 @@ class DatabaseServer:
         return self
 
     def _serve(self) -> None:
-        """Answer each whole frame as it arrives, until stop(). A connection ends on
-        EOF, a bad header, any OSError (a full send buffer too) or _IDLE_S idle."""
-        sel = selectors.DefaultSelector()
-        sel.register(self._listener, selectors.EVENT_READ)
-        sel.register(self._woken, selectors.EVENT_READ)
-        deadlines: dict[socket.socket, float] = {}  # every open connection
+        """Answer each whole frame as it arrives, until stop(). A reply its peer
+        has no room for waits in that connection's outbox, and the connection
+        is polled for writing instead of reading until the outbox drains. A
+        connection ends on EOF, a bad header, any OSError, or _IDLE_S with no
+        octet received or sent."""
+        poller = select.poll()
+        poller.register(self._listener, select.POLLIN)
+        poller.register(self._woken, select.POLLIN)
+        listener = self._listener.fileno()
+        conns: dict[int, tuple[socket.socket, FrameBuffer]] = {}  # every open connection, by fd
+        deadlines: dict[int, float] = {}
+        outboxes: dict[int, bytearray] = {}  # unsent replies
         sweep = time.monotonic() + _IDLE_S
+
+        def end(fd: int) -> None:
+            poller.unregister(fd)
+            del deadlines[fd]
+            outboxes.pop(fd, None)
+            conns.pop(fd)[0].close()
+
         try:
             while True:
-                ready = sel.select(sweep - time.monotonic())
+                ready = poller.poll(max(0.0, sweep - time.monotonic()) * 1000)
                 now = time.monotonic()
-                for key, _ in ready:
-                    sock = key.fileobj
-                    if key.data is not None:
+                for fd, _ in ready:
+                    if fd not in conns:
+                        if fd != listener:  # stop() closed the other end of _woken
+                            return
                         try:
-                            data = sock.recv(_RECV_SIZE)
-                            frames = key.data.feed(data)
-                            for frame in frames:
-                                write_frame(sock, self.handle_frame(frame))
-                        except (OSError, WireError):
-                            data = b""
-                        except Exception:  # a fault of this server: drop one connection, keep serving
-                            traceback.print_exc()
-                            data = b""
-                        if not data:  # ended: the sweep below closes it
-                            deadlines[sock] = sweep = 0.0
-                        elif frames:
-                            deadlines[sock] = now + _IDLE_S
-                    elif sock is self._listener:
-                        try:
-                            conn, _ = sock.accept()
+                            sock, _ = self._listener.accept()
                         except OSError:  # e.g. out of file descriptors
                             continue
-                        conn.setblocking(False)
-                        sel.register(conn, selectors.EVENT_READ, FrameBuffer())
-                        deadlines[conn] = now + _IDLE_S
-                    else:
-                        return
+                        sock.setblocking(False)
+                        fd = sock.fileno()
+                        conns[fd] = sock, FrameBuffer()
+                        deadlines[fd] = now + _IDLE_S
+                        poller.register(fd, select.POLLIN)
+                        continue
+                    sock, incoming = conns[fd]
+                    out = outboxes.get(fd)
+                    try:
+                        if out is not None:
+                            sent = _send(sock, out)
+                            if not sent:
+                                continue
+                            del out[:sent]
+                            if not out:
+                                del outboxes[fd]
+                                poller.modify(fd, select.POLLIN)
+                        else:
+                            data = sock.recv(_RECV_SIZE)
+                            if not data:
+                                end(fd)
+                                continue
+                            replies = b"".join(
+                                [encode_frame(self.handle_frame(f)) for f in incoming.feed(data)]
+                            )
+                            if replies:
+                                sent = _send(sock, replies)
+                                if sent < len(replies):
+                                    outboxes[fd] = bytearray(memoryview(replies)[sent:])
+                                    poller.modify(fd, select.POLLOUT)
+                        deadlines[fd] = now + _IDLE_S
+                    except (OSError, WireError):
+                        end(fd)
+                    except Exception:  # a fault of this server: drop one connection, keep serving
+                        traceback.print_exc()
+                        end(fd)
                 if now >= sweep:
-                    for sock, deadline in list(deadlines.items()):
+                    for fd, deadline in list(deadlines.items()):
                         if deadline <= now:
-                            sel.unregister(sock)
-                            del deadlines[sock]
-                            sock.close()
+                            end(fd)
                     sweep = min(deadlines.values(), default=now + _IDLE_S)
         finally:
-            for sock in deadlines:
+            for sock, _ in conns.values():
                 sock.close()
-            sel.close()
 
     def stop(self) -> None:
         """Stop accepting and end every open connection; none is answered after."""

@@ -25,6 +25,7 @@ from spircr.wire import (
     Frame,
     FrameType,
     WireError,
+    decode_frame,
     encode_error_payload,
     encode_frame,
     encode_query_payload,
@@ -490,20 +491,66 @@ def test_half_a_frame_does_not_delay_a_retrieval(pair):
         assert read_frame(stalled).ftype == FrameType.HELLO
 
 
-def test_a_peer_that_never_reads_is_dropped(pair):
+def test_a_peer_that_never_reads_is_dropped(pair, monkeypatch):
+    monkeypatch.setattr(net, "_IDLE_S", 0.3)
+    pair.restart()
     # each frame draws an ERROR reply several times its size
     mismatch = SchemeParams.create(2, 2, 263)
     frame = encode_frame(Frame(FrameType.QUERY, encode_query_payload(mismatch, ())))
     with socket.socket() as hog:
         hog.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1024)
-        hog.settimeout(5.0)
         hog.connect(pair.addresses[0])
+        hog.settimeout(0.2)
         started = time.monotonic()
-        with pytest.raises((ConnectionResetError, BrokenPipeError)):
+        with pytest.raises(socket.timeout):  # the server stops reading it
             while time.monotonic() - started < 5.0:
                 hog.sendall(frame * 100)
-        assert time.monotonic() - started < 1.0
         pair.retrieve(2, "past-hog")
+        time.sleep(1.0)
+        with pytest.raises((ConnectionResetError, BrokenPipeError)):
+            hog.send(frame)
+
+
+def test_a_reply_larger_than_the_socket_buffers_arrives_whole(pair, monkeypatch):
+    monkeypatch.setattr(net, "_IDLE_S", 0.3)
+    pair.restart()
+    server = pair.servers[0]
+    # accepted sockets inherit the listener's send buffer size
+    server._listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    big = encode_frame(Frame(FrameType.ANSWER, bytes(range(256)) * 4096))
+    real = server.handle_frame
+    monkeypatch.setattr(
+        server,
+        "handle_frame",
+        lambda frame: decode_frame(big) if frame.ftype == FrameType.HELLO else real(frame),
+    )
+    with socket.socket() as reader:
+        reader.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        reader.settimeout(5.0)
+        reader.connect(server.address)
+        write_frame(reader, Frame(FrameType.HELLO, b""))
+        started = time.monotonic()
+        got = bytearray()
+        while len(got) < len(big):
+            chunk = reader.recv(4096)  # steadily, taking longer than _IDLE_S in all
+            if not chunk:
+                break
+            got += chunk
+            time.sleep(0.002)
+        assert time.monotonic() - started > 0.3
+        assert got == big
+        pair.retrieve(1, "past-big-reply")
+
+
+def test_a_slow_upload_is_not_silence(pair, monkeypatch):
+    monkeypatch.setattr(net, "_IDLE_S", 0.3)
+    pair.restart()
+    with socket.create_connection(pair.addresses[0], timeout=5.0) as slow:
+        slow.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for octet in encode_frame(Frame(FrameType.HELLO, b"")):  # 10 octets over 0.6 s
+            slow.sendall(bytes([octet]))
+            time.sleep(0.06)
+        assert read_frame(slow).ftype == FrameType.HELLO
 
 
 def test_silent_connections_are_closed(monkeypatch, tmp_path):
