@@ -24,21 +24,24 @@ I(T; BX) = 0 and I((T, VX); BX) = sum over T of P(T) * I(VX; BX | T): an
 exact Fraction, at a cost that does not grow with q.
 
 Why one table per desired index is exact. Let T_k be
-scheme.canonical_table(params, k): identity symbol orderings and seed 1,
-with any mutation applied at seed 1.
+scheme.canonical_table(params, k, mutation): identity symbol orderings and
+seed 1, with the mutation, if any, applied at seed 1.
 
-  * select_query emits g.T_k by construction: it relabels the symbols of
-    T_k by the orderings it draws and its pool indices by
-    shift o variant o tau. tau fixes index 1 and depends on the orderings
-    alone: it is the reordering of mask slots whose ties the relabeled
-    terms break (identity at N <= 2).
+  * select_query emits g.T_k by construction: it relabels
+    canonical_table(params, k, mutation) itself, the symbols by the
+    orderings it draws and the pool indices by shift o variant o tau. tau
+    fixes index 1 and depends on the orderings alone: it is the reordering
+    of mask slots whose ties the relabeled terms break (identity at
+    N <= 2).
   * At N >= 2, sample_variant is uniform on the bijections that fix 1, so
     variant o tau is too, and the shift then moves 1 to the user's uniform
     index u. The emitted table is therefore g.T_k with g uniform on
     G = S_L^K x S_rs. At N = 1, L = 1, the variant is the identity and g is
     the cyclic shift by u - 1.
-  * apply_mutation commutes with every relabeling, so a mutated emitted
-    table is g applied to the mutated T_k.
+  * tables_for_seed, the gate's oracle below, applies the mutation after
+    the shift instead. apply_mutation commutes with every relabeling
+    (test_mutations_commute_with_relabeling keeps that), so its tables
+    are the ones select_query emits.
   * g permutes the columns of X and carries the user's pool row S_1 to S_u.
     Ranks do not change when columns are permuted, so every table in the
     orbit has T_k's rank values, and the P(T)-weighted I is T_k's own value,
@@ -85,6 +88,7 @@ query_distribution; no audit calls any of them.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -102,8 +106,7 @@ from .scheme import (
     canonical_table,
     format_request,
     permute_nonseed,
-    relabel_table,
-    shift_mapping,
+    shift_cell,
     variant_count,
     variant_mappings,
 )
@@ -195,15 +198,9 @@ def joint_space_outcomes(params: SchemeParams) -> int:
     return table_space_outcomes(params) * params.q ** (params.K * params.L + params.rs_size)
 
 
-_SEED1_CACHE: dict = {}
-_TABLE_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=256)
 def _seed1_tables(params: SchemeParams, desired: int) -> list[tuple[int, QueryTable]]:
     """Distinct canonical-seed query tables with coin multiplicities."""
-    key = (params, desired)
-    if key in _SEED1_CACHE:
-        return _SEED1_CACHE[key]
     counts: dict[QueryTable, int] = {}
     perms_per_msg = list(itertools.permutations(range(params.L)))
     vmaps = variant_mappings(params, 1)
@@ -212,28 +209,21 @@ def _seed1_tables(params: SchemeParams, desired: int) -> list[tuple[int, QueryTa
         for vmap in vmaps:
             variant = permute_nonseed(table, 1, vmap)
             counts[variant] = counts.get(variant, 0) + 1
-    result = [(w, t) for t, w in counts.items()]
-    _SEED1_CACHE[key] = result
-    return result
+    return [(w, t) for t, w in counts.items()]
 
 
+@functools.lru_cache(maxsize=256)
 def tables_for_seed(
     params: SchemeParams, desired: int, seed: int, mutation: Mutation | None = None
 ) -> list[tuple[int, QueryTable]]:
     """Distinct query tables emitted for (desired, user index), with weights."""
-    key = (params, desired, seed, mutation)
-    if key in _TABLE_CACHE:
-        return _TABLE_CACHE[key]
-    shift = shift_mapping(params.rs_size, seed - 1)
     counts: dict[QueryTable, int] = {}
     for w, table in _seed1_tables(params, desired):
-        shifted = relabel_table(table, shift)
+        shifted = shift_cell(table, seed - 1)
         if mutation is not None:
             shifted = apply_mutation(shifted, desired, seed, mutation)
         counts[shifted] = counts.get(shifted, 0) + w
-    result = [(w, t) for t, w in counts.items()]
-    _TABLE_CACHE[key] = result
-    return result
+    return [(w, t) for t, w in counts.items()]
 
 
 def _check_bound(tables: int, bound: int) -> None:
@@ -253,15 +243,6 @@ def _render_table(table: QueryTable, length: int) -> str:
 
 # ---------------------------------------------------------------------------
 # One representative table per desired index
-
-
-def representative_table(
-    params: SchemeParams, desired: int, mutation: Mutation | None = None
-) -> QueryTable:
-    """T_k with the mutation applied at seed 1. Every table the user can
-    emit for desired k is a relabeling of it (module docstring)."""
-    table = canonical_table(params, desired)
-    return table if mutation is None else apply_mutation(table, desired, 1, mutation)
 
 
 def _coverage(params: SchemeParams, representatives: int) -> dict:
@@ -357,7 +338,7 @@ def user_privacy_audit(params: SchemeParams, mutation: Mutation | None = None) -
     index k; that is condition (a), and (b) follows from it (module
     docstring).
     """
-    tables = [representative_table(params, k, mutation) for k in range(1, params.K + 1)]
+    tables = [canonical_table(params, k, mutation) for k in range(1, params.K + 1)]
     coverage = _coverage(params, len(tables))
     for db in range(params.N):
         base = orbit_key(params, tables[0][db])
@@ -486,7 +467,7 @@ def reliability_audit(params: SchemeParams, mutation: Mutation | None = None) ->
     """Decode must return the stored desired message on every joint outcome."""
     name = "reliability"
     for desired in range(1, params.K + 1):
-        table = representative_table(params, desired, mutation)
+        table = canonical_table(params, desired, mutation)
         try:
             wrong = misdecoded_symbols(params, desired, 1, table)
         except DecodeError as e:
@@ -507,7 +488,7 @@ def reliability_audit(params: SchemeParams, mutation: Mutation | None = None) ->
 
 def _leak_audit(params: SchemeParams, mutation: Mutation | None, name: str, leak) -> AuditReport:
     for desired in range(1, params.K + 1):
-        table = representative_table(params, desired, mutation)
+        table = canonical_table(params, desired, mutation)
         units = leak(params, desired, 1, table)
         if units:
             return AuditReport(

@@ -58,7 +58,9 @@ class Seed:
 
     @classmethod
     def from_text(cls, text: str) -> "Seed":
-        return cls(sha256(text.encode("utf-8")).digest()[:SEED_BYTES])
+        # surrogateescape: a command-line argument that is not UTF-8 arrives
+        # with its octets escaped, and hashes as those octets
+        return cls(sha256(text.encode("utf-8", "surrogateescape")).digest()[:SEED_BYTES])
 
     def derive(self, label: str) -> "Seed":
         """Derive an independent sub-seed for a named role."""

@@ -217,8 +217,8 @@ class DatabaseServer:
         """Answer each whole frame as it arrives, until stop(). A reply its peer
         has no room for waits in that connection's outbox, and the connection
         is polled for writing instead of reading until the outbox drains. A
-        connection ends on EOF, a bad header, any OSError, or _IDLE_S with no
-        octet received or sent."""
+        connection ends on EOF, any OSError, _IDLE_S with no octet received
+        or sent, or a bad header, once the frames before it are answered."""
         poller = select.poll()
         poller.register(self._listener, select.POLLIN)
         poller.register(self._woken, select.POLLIN)
@@ -226,12 +226,14 @@ class DatabaseServer:
         conns: dict[int, tuple[socket.socket, FrameBuffer]] = {}  # every open connection, by fd
         deadlines: dict[int, float] = {}
         outboxes: dict[int, bytearray] = {}  # unsent replies
+        closing: set[int] = set()  # sent a bad header: end once the outbox drains
         sweep = time.monotonic() + _IDLE_S
 
         def end(fd: int) -> None:
             poller.unregister(fd)
             del deadlines[fd]
             outboxes.pop(fd, None)
+            closing.discard(fd)
             conns.pop(fd)[0].close()
 
         try:
@@ -268,14 +270,20 @@ class DatabaseServer:
                             if not data:
                                 end(fd)
                                 continue
-                            replies = b"".join(
-                                [encode_frame(self.handle_frame(f)) for f in incoming.feed(data)]
-                            )
+                            try:
+                                frames = incoming.feed(data)
+                            except WireError as e:
+                                frames = e.frames
+                                closing.add(fd)
+                            replies = b"".join([encode_frame(self.handle_frame(f)) for f in frames])
                             if replies:
                                 sent = _send(sock, replies)
                                 if sent < len(replies):
                                     outboxes[fd] = bytearray(memoryview(replies)[sent:])
                                     poller.modify(fd, select.POLLOUT)
+                        if fd in closing and fd not in outboxes:
+                            end(fd)
+                            continue
                         deadlines[fd] = now + _IDLE_S
                     except (OSError, WireError):
                         end(fd)

@@ -143,35 +143,28 @@ def plan_with_perms(
         return p + 1
 
     per_db: list[list[Terms]] = [[] for _ in range(n_db)]
-    # Undesired-only sums of the previous round, per database, in creation
-    # order; round t reuses each of them once at every other database.
-    side_prev: list[list[Terms]] = [[] for _ in range(n_db)]
+    # Undesired-only sums by (database, message subset), in creation order;
+    # round t reuses each one of round t - 1 once at every other database.
+    side: dict[tuple[int, tuple[int, ...]], list[Terms]] = {}
 
     # At N = 1 later rounds would need (N-1)^(t-1) = 0 undesired-only sums
     # and a companion at another database, so round 1 is the whole plan.
     rounds = n_msg if n_db > 1 else 1
     for t in range(1, rounds + 1):
-        side_this: list[list[Terms]] = [[] for _ in range(n_db)]
         subsets = _ranked_subsets(n_msg, desired, t)
         for db in range(1, n_db + 1):
             for subset in subsets:
-                if desired in subset:
-                    if t == 1:
-                        per_db[db - 1].append(((desired, take(desired)),))
-                    else:
-                        rest = tuple(m for m in subset if m != desired)
-                        for other in _cyclic_others(db, n_db):
-                            for comp in side_prev[other - 1]:
-                                if messages(comp) != rest:
-                                    continue
-                                terms = tuple(sorted(comp + ((desired, take(desired)),)))
-                                per_db[db - 1].append(terms)
+                if desired not in subset:
+                    count = (n_db - 1) ** (t - 1)
+                    side[db, subset] = [tuple((m, take(m)) for m in subset) for _ in range(count)]
+                    per_db[db - 1] += side[db, subset]
+                elif t == 1:
+                    per_db[db - 1].append(((desired, take(desired)),))
                 else:
-                    for _ in range((n_db - 1) ** (t - 1)):
-                        terms = tuple((m, take(m)) for m in subset)
-                        per_db[db - 1].append(terms)
-                        side_this[db - 1].append(terms)
-        side_prev = side_this
+                    rest = tuple(m for m in subset if m != desired)
+                    for other in _cyclic_others(db, n_db):
+                        for comp in side[other, rest]:
+                            per_db[db - 1].append(tuple(sorted(comp + ((desired, take(desired)),))))
 
     ordered = tuple(tuple(sorted(reqs, key=request_sort_key)) for reqs in per_db)
     return PirPlan(params=params, desired=desired, per_db=ordered)
@@ -189,29 +182,6 @@ def _ranked_subsets(n_msg: int, desired: int, t: int) -> list[tuple[int, ...]]:
 
 def _cyclic_others(db: int, n_db: int) -> list[int]:
     return [((db - 1 + k) % n_db) + 1 for k in range(1, n_db)]
-
-
-def undesired_only_slots(plan: PirPlan) -> list[tuple[int, Terms]]:
-    """Undesired-only requests in canonical slot order.
-
-    These are the requests that introduce fresh masking randomness; order is
-    (size, database, cyclic subset rank, terms) which reproduces allocation
-    order whenever at most one instance per (database, subset) exists.
-    """
-    slots = []
-    for db, reqs in enumerate(plan.per_db, start=1):
-        for terms in reqs:
-            if plan.desired not in messages(terms):
-                slots.append((db, terms))
-    slots.sort(key=lambda item: slot_key(item[0], item[1], plan.desired, plan.params.K))
-    return slots
-
-
-def slot_key(db: int, terms: Terms, desired: int, n_msg: int) -> tuple:
-    """Sort key of an undesired-only request among the mask slots: (size,
-    database, cyclic subset rank, terms). Only the terms break ties, between
-    requests over one subset at one database (N >= 3)."""
-    return (len(terms), db, subset_rank(messages(terms), desired, n_msg), terms)
 
 
 @functools.lru_cache(maxsize=256)

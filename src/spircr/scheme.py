@@ -15,12 +15,12 @@ A request is (terms, mask): a plan request's sum of single message symbols
 plus the pool symbol with index cr, which pads it as a one-time pad does.
 A query is a QueryTable: one tuple of such requests per database. The
 canonical table T_k (canonical_table) is the identity plan for desired
-index k with seed index 1. Every query select_query emits is one relabeling
-of T_k: each message's symbols by a uniform ordering, and the pool indices
-by a uniform bijection that carries the seed to the user's index (at
-N >= 2; at N = 1 by the cyclic shift alone). That relabeling is what makes
-the per-database query distribution independent of which message is
-desired.
+index k with seed index 1, and any injected fault applied there. Every
+query select_query emits is one relabeling of T_k: each message's symbols
+by a uniform ordering, and the pool indices by a uniform bijection that
+carries the seed to the user's index (at N >= 2; at N = 1 by the cyclic
+shift alone). That relabeling is what makes the per-database query
+distribution independent of which message is desired.
 """
 from __future__ import annotations
 
@@ -40,11 +40,9 @@ from .plan import (
     format_terms,
     identity_plan,
     messages,
-    request_sort_key,
     sample_orderings,
-    slot_key,
+    subset_rank,
     total_download,
-    undesired_only_slots,
 )
 
 
@@ -88,51 +86,63 @@ class RateTriple:
         return {"d": str(self.d), "rho_s": str(self.rho_s), "rho_u": str(self.rho_u)}
 
 
-def nonseed_cycle(params: SchemeParams, seed: int) -> list[int]:
-    """Non-seed pool indices in cyclic order starting just after the seed."""
-    rs = params.rs_size
-    return [((seed - 1 + i) % rs) + 1 for i in range(1, rs)]
+def fresh_masks(slots: list[tuple[int, Terms, object]], desired: int, n_msg: int) -> dict:
+    """Pool indices 2..rs, one for each undesired-only request, in slot
+    order: (size, database, cyclic subset rank, terms). slots holds
+    (database, terms, tag) for each such request; the result maps every tag
+    to its index. Only the terms break ties, between requests over one
+    subset at one database (N >= 3)."""
+    order = sorted(
+        slots,
+        key=lambda slot: (
+            len(slot[1]), slot[0], subset_rank(messages(slot[1]), desired, n_msg), slot[1]
+        ),
+    )
+    return {tag: index for index, (_, _, tag) in enumerate(order, start=2)}
 
 
 def assign_common_randomness(plan: PirPlan, params: SchemeParams) -> QueryTable:
     """Attach pool indices to a plan, producing the canonical table whose
     seed is pool index 1."""
-    seed = 1
-    label: dict[Terms, int] = {}
-    slot_db: dict[Terms, int] = {}
-    cycle = nonseed_cycle(params, seed)
-    slots = undesired_only_slots(plan)
-    if len(slots) != params.rs_size - 1:
-        raise SchemeError(
-            f"expected {params.rs_size - 1} fresh mask slots, found {len(slots)}"
-        )
-    for (db, terms), idx in zip(slots, cycle):
-        label[terms] = idx
-        slot_db[terms] = db
-
-    per_db: list[list[SpirRequest]] = []
-    for db, reqs in enumerate(plan.per_db, start=1):
+    home = {
+        terms: db
+        for db, reqs in enumerate(plan.per_db)
+        for terms in reqs
+        if plan.desired not in messages(terms)
+    }
+    if len(home) != params.rs_size - 1:
+        raise SchemeError(f"expected {params.rs_size - 1} fresh mask slots, found {len(home)}")
+    label = fresh_masks([(db, terms, terms) for terms, db in home.items()], plan.desired, params.K)
+    per_db = []
+    for db, reqs in enumerate(plan.per_db):
         out = []
         for terms in reqs:
             if plan.desired not in messages(terms):
                 out.append(SpirRequest(terms, label[terms]))
             elif len(terms) == 1:
-                out.append(SpirRequest(terms, seed))
+                out.append(SpirRequest(terms, 1))
             else:
                 rest = tuple([t for t in terms if t[0] != plan.desired])
-                idx = label.get(rest)
-                if idx is None or slot_db[rest] == db:
+                if home.get(rest, db) == db:
                     raise SchemeError(f"companion sum not found for {format_terms(terms)}")
-                out.append(SpirRequest(terms, idx))
-        out.sort(key=lambda sr: request_sort_key(sr.terms))
-        per_db.append(out)
-    return tuple(tuple(x) for x in per_db)
+                out.append(SpirRequest(terms, label[rest]))
+        per_db.append(tuple(out))
+    return tuple(per_db)
 
 
 @functools.lru_cache(maxsize=256)
-def canonical_table(params: SchemeParams, desired: int) -> QueryTable:
-    """T_k: the seed-1 table of the identity plan for desired index k."""
+def _honest_table(params: SchemeParams, desired: int) -> QueryTable:
     return assign_common_randomness(identity_plan(params, desired), params)
+
+
+def canonical_table(
+    params: SchemeParams, desired: int, mutation: Mutation | None = None
+) -> QueryTable:
+    """T_k: the seed-1 table of the identity plan for desired index k, with
+    the mutation, if any, applied at seed 1. The plan is masked once per
+    (params, k), whatever the mutation."""
+    table = _honest_table(params, desired)
+    return table if mutation is None else apply_mutation(table, desired, 1, mutation)
 
 
 def _relabel_terms(terms: Terms, symbols: tuple[Permutation, ...]) -> Terms:
@@ -162,32 +172,19 @@ def relabel(
     return tuple(out)
 
 
-def relabel_table(table: QueryTable, mapping: dict[int, int]) -> QueryTable:
-    """Rename every pool index by mapping; unmasked requests stay unmasked."""
-    return relabel(table, mapping, None)
-
-
-def shift_mapping(rs_size: int, delta: int) -> dict[int, int]:
-    """Pool index i -> i + delta, cyclically over 1..rs_size."""
-    return {i: ((i - 1 + delta) % rs_size) + 1 for i in range(1, rs_size + 1)}
-
-
-def _pool_size(table: QueryTable) -> int:
-    # every database masks exactly one request with each pool index
-    return len(table[0])
-
-
 def permute_nonseed(table: QueryTable, seed: int, mapping: dict[int, int]) -> QueryTable:
     """Relabel non-seed pool indices by a bijection; the seed must stay put."""
-    nonseed = set(range(1, _pool_size(table) + 1)) - {seed}
+    # every database masks exactly one request with each pool index
+    nonseed = set(range(1, len(table[0]) + 1)) - {seed}
     if set(mapping) != nonseed or set(mapping.values()) != nonseed:
         raise SchemeError("mapping must be a bijection on the non-seed indices")
-    return relabel_table(table, {**mapping, seed: seed})
+    return relabel(table, {**mapping, seed: seed}, None)
 
 
 def shift_cell(table: QueryTable, delta: int) -> QueryTable:
     """Add delta (mod pool size) to every index; the seed moves with the rest."""
-    return relabel_table(table, shift_mapping(_pool_size(table), delta))
+    rs = len(table[0])
+    return relabel(table, [0] + [(i + delta) % rs + 1 for i in range(rs)], None)
 
 
 def variant_mappings(params: SchemeParams, seed: int) -> list[dict[int, int]]:
@@ -199,7 +196,8 @@ def variant_mappings(params: SchemeParams, seed: int) -> list[dict[int, int]]:
     of the non-seed indices is admissible and all of them are required for
     the per-database query distribution to forget the desired index.
     """
-    cycle = nonseed_cycle(params, seed)
+    rs = params.rs_size
+    cycle = [(seed - 1 + i) % rs + 1 for i in range(1, rs)]  # from just after the seed
     if params.N == 1:
         return [{i: i for i in cycle}]
     return [
@@ -271,43 +269,37 @@ def select_query(
     """Build the query a user holding pool index user_cr_index transmits.
 
     rng draws one symbol ordering per message, then (N >= 2) a relabeling
-    of the non-seed indices. The query is T_k relabeled once: symbols by
-    the orderings, pool indices by shift o variant o tau, where the shift
-    moves the seed to the user's index and tau is the relabeling that
-    assign_common_randomness would make on the plan with these orderings.
+    of the non-seed indices. The query is canonical_table(params, desired,
+    mutation) relabeled once: symbols by the orderings, pool indices by
+    shift o variant o tau, where the shift moves the seed to the user's
+    index and tau is the relabeling that assign_common_randomness would
+    make on the plan with these orderings.
     """
     if not 1 <= user_cr_index <= params.rs_size:
         raise ValueError(f"user index {user_cr_index} outside [1, {params.rs_size}]")
-    base = canonical_table(params, desired)
     symbols = sample_orderings(params, rng)
-    tau = _slot_tie_breaks(params, desired, base, symbols) if params.N >= 3 else {}
+    tau = {}
+    if params.N >= 3:
+        # The terms break ties between fresh mask slots over one subset at
+        # one database, so relabeling the symbols can reorder those slots.
+        # tau reads the honest T_k: a mutated slot has lost its mask.
+        tau = fresh_masks(
+            [
+                (db, _relabel_terms(sr.terms, symbols), sr.cr)
+                for db, db_reqs in enumerate(canonical_table(params, desired))
+                for sr in db_reqs
+                if desired not in messages(sr.terms)
+            ],
+            desired,
+            params.K,
+        )
     variant = sample_variant(params, rng) if params.N >= 2 else {}
     rs = params.rs_size
     pool = [0]  # pool[i] is index i's new label; 0 pads the 1-based list
     for i in range(1, rs + 1):
         j = tau.get(i, i)
         pool.append((variant.get(j, j) + user_cr_index - 2) % rs + 1)
-    table = relabel(base, pool, symbols)
-    if mutation is not None:
-        table = apply_mutation(table, desired, user_cr_index, mutation)
-    return table
-
-
-def _slot_tie_breaks(
-    params: SchemeParams, desired: int, base: QueryTable, symbols: tuple[Permutation, ...]
-) -> dict[int, int]:
-    """tau: assign_common_randomness labels mask slots in slot_key order,
-    and at N >= 3 the terms break ties between slots over one subset at one
-    database, so relabeling the symbols can reorder those slots. tau maps
-    each slot's index in base to its index once its terms are relabeled."""
-    slots = [
-        (db, _relabel_terms(sr.terms, symbols), sr.cr)
-        for db, db_reqs in enumerate(base, start=1)
-        for sr in db_reqs
-        if desired not in messages(sr.terms)
-    ]
-    slots.sort(key=lambda slot: slot_key(slot[0], slot[1], desired, params.K))
-    return {cr: label for (_, _, cr), label in zip(slots, nonseed_cycle(params, 1))}
+    return relabel(canonical_table(params, desired, mutation), pool, symbols)
 
 
 @functools.lru_cache(maxsize=256)

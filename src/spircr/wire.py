@@ -276,21 +276,26 @@ class FrameBuffer:
 
     def feed(self, data: bytes) -> list[Frame]:
         """Every frame that data completes, in order. Raises WireError on a
-        bad header as soon as the header is whole."""
+        bad header as soon as the header is whole; the error's frames are
+        the whole frames before that header."""
         pending = self._pending
         if pending:
             pending += data
             data = pending
         frames = []
         pos, size = 0, len(data)
-        while size - pos >= _HEADER.size:
-            kind, length = _frame_header(data, pos)
-            start = pos + _HEADER.size
-            end = start + length
-            if end > size:
-                break
-            frames.append(Frame(kind, bytes(data[start:end])))
-            pos = end
+        try:
+            while size - pos >= _HEADER.size:
+                kind, length = _frame_header(data, pos)
+                start = pos + _HEADER.size
+                end = start + length
+                if end > size:
+                    break
+                frames.append(Frame(kind, bytes(data[start:end])))
+                pos = end
+        except WireError as e:
+            e.frames = frames
+            raise
         if data is pending:
             del pending[:pos]
         elif pos < size:

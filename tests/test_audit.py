@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from spircr import audit
+from spircr import audit, scheme
 from spircr.audit import (
     AuditError,
     Distribution,
@@ -20,7 +20,6 @@ from spircr.audit import (
     orbit_key,
     query_distribution,
     reliability_audit,
-    representative_table,
     run_all_audits,
     tables_for_seed,
     user_privacy_audit,
@@ -33,11 +32,11 @@ from spircr.scheme import (
     SpirRequest,
     apply_mutation,
     assign_common_randomness,
+    canonical_table,
     permute_nonseed,
-    relabel_table,
+    relabel,
     select_query,
     shift_cell,
-    shift_mapping,
     variant_mappings,
 )
 from spircr.sim import (
@@ -375,7 +374,7 @@ def test_sparse_audits_match_dense_rows(n, k, q):
     for mutation in (None, *MUTATIONS):
         try:
             tables = [
-                (d, 1, representative_table(p, d, mutation)) for d in range(1, k + 1)
+                (d, 1, canonical_table(p, d, mutation)) for d in range(1, k + 1)
             ]
         except SchemeError:
             # the fault has no eligible request at this shape, for either path
@@ -432,7 +431,7 @@ def test_every_emitted_table_relabels_the_representative(n, k, distinct):
     identity = {i: i for i in range(1, p.rs_size + 1)}
     emitted_union = set()
     for desired in range(1, k + 1):
-        rep = representative_table(p, desired)
+        rep = canonical_table(p, desired)
         for perms in itertools.product(itertools.permutations(range(p.L)), repeat=k):
             sigma = [[x + 1 for x in perm] for perm in perms]
             relabeled = _relabel(rep, sigma, identity)
@@ -443,7 +442,7 @@ def test_every_emitted_table_relabels_the_representative(n, k, distinct):
                     tau = {a.cr: b.cr for x, y in zip(relabeled, emitted) for a, b in zip(x, y)}
                     assert sorted(tau) == sorted(tau.values()) == list(identity)
                     assert tau[1] == u
-                    assert relabel_table(relabeled, tau) == emitted
+                    assert relabel(relabeled, tau, None) == emitted
                     emitted_union.add(emitted)
     assert len(emitted_union) == distinct
 
@@ -453,13 +452,57 @@ def test_mutations_commute_with_relabeling(n, k):
     p = SchemeParams.create(n, k, 2)
     rng = random.Random(f"commute-{n}-{k}")
     for desired in range(1, k + 1):
-        rep = representative_table(p, desired)
+        rep = canonical_table(p, desired)
         for mutation in MUTATIONS:
             for _ in range(10):
                 sigma, tau = _random_g(p, rng)
                 assert apply_mutation(_relabel(rep, sigma, tau), desired, tau[1], mutation) == (
                     _relabel(apply_mutation(rep, desired, 1, mutation), sigma, tau)
                 )
+
+
+@pytest.mark.parametrize("n,k", [(1, 3), (2, 2), (3, 2)])
+def test_a_mutated_canonical_table_is_the_fault_at_seed_one(n, k):
+    # and select_query, which relabels it, puts the fault where mutating
+    # the honest query it would emit from the same coins puts it
+    p = SchemeParams.create(n, k, 2)
+    for desired in range(1, k + 1):
+        honest = canonical_table(p, desired)
+        for mutation in MUTATIONS:
+            try:
+                want = apply_mutation(honest, desired, 1, mutation)
+            except SchemeError:  # bare-companion needs a larger sum, which N = 1 lacks
+                with pytest.raises(SchemeError):
+                    canonical_table(p, desired, mutation)
+                continue
+            assert canonical_table(p, desired, mutation) == want
+            for i in range(4):
+                u = i % p.rs_size + 1
+                label = f"fault-{n}-{k}-{desired}-{mutation}-{i}"
+                emitted = select_query(p, desired, u, SeededStream(Seed.from_text(label)), mutation)
+                query = select_query(p, desired, u, SeededStream(Seed.from_text(label)))
+                assert emitted == apply_mutation(query, desired, u, mutation)
+
+
+def test_each_canonical_plan_is_masked_once(monkeypatch):
+    # one T_k build per desired index, whatever the fault and however
+    # canonical_table is called
+    p = SchemeParams.create(2, 2, 2)
+    built = []
+    real = scheme.assign_common_randomness
+
+    def counted(plan, params):
+        built.append(plan.desired)
+        return real(plan, params)
+
+    monkeypatch.setattr(scheme, "assign_common_randomness", counted)
+    scheme._honest_table.cache_clear()
+    run_all_audits(p)
+    run_all_audits(p, "unmask-one")
+    for desired in range(1, p.K + 1):
+        select_query(p, desired, 1, SeededStream(Seed.from_text(f"once-{desired}")))
+        select_query(p, desired, 2, SeededStream(Seed.from_text(f"once-{desired}")), "seed-reuse")
+    assert sorted(built) == list(range(1, p.K + 1))
 
 
 def _rank_values(p, desired, seed, table):
@@ -475,7 +518,7 @@ def test_sampled_queries_carry_the_representative_ranks(n, k):
     p = SchemeParams.create(n, k, 2)
     for mutation in (None, *MUTATIONS):
         for desired in range(1, k + 1):
-            want = _rank_values(p, desired, 1, representative_table(p, desired, mutation))
+            want = _rank_values(p, desired, 1, canonical_table(p, desired, mutation))
             for i in range(8):
                 rng = SeededStream(Seed.from_text(f"orbit-{n}-{k}-{mutation}-{desired}-{i}"))
                 u = rng.randrange(p.rs_size) + 1
@@ -547,13 +590,13 @@ def test_representatives_match_enumeration(n, k, q, mutation):
                                (cr, cr_info, cr_difference_leak)):
         # every table of desired k has T_k's rank values, so the weighted I
         # is T_k's own, and the audit reports the first nonzero one
-        assert info == [leak(p, d, 1, representative_table(p, d, mutation)) for d in range(1, k + 1)]
+        assert info == [leak(p, d, 1, canonical_table(p, d, mutation)) for d in range(1, k + 1)]
         assert _reported_leak(report) == next((i for i in info if i), 0)
 
 
 def test_orbit_invariant_refuses_repeated_symbols():
     p = SchemeParams.create(2, 2, 2)
-    db_query = representative_table(p, 1)[0]
+    db_query = canonical_table(p, 1)[0]
     assert orbit_invariant(db_query) == ([((1,),), ((1, 2),), ((2,),)], [])
     doubled = db_query + (SpirRequest(db_query[0].terms, None),)
     with pytest.raises(AuditError, match="appears twice"):
@@ -565,13 +608,13 @@ def test_single_db_orbit_key_is_cyclic():
     # seed-reuse, T_1 and T_2 share which messages share an index, but no
     # shift maps one onto the other, and only the cyclic key tells them apart
     p = SchemeParams.create(1, 4, 2)
-    t1, t2 = (representative_table(p, k, "seed-reuse")[0] for k in (1, 2))
+    t1, t2 = (canonical_table(p, k, "seed-reuse")[0] for k in (1, 2))
     assert [sr.cr for sr in t1] == [1, 1, 3, 4]
     assert [sr.cr for sr in t2] == [1, 1, 2, 3]
     assert [sr.terms for sr in t1] == [sr.terms for sr in t2] == [((m, 1),) for m in range(1, 5)]
     assert orbit_invariant(t1) == orbit_invariant(t2)
     assert orbit_key(p, t1) != orbit_key(p, t2)
-    shifted = relabel_table((t1,), {1: 3, 2: 4, 3: 1, 4: 2})[0]
+    shifted = shift_cell((t1,), 2)[0]
     assert orbit_key(p, shifted) == orbit_key(p, t1)
     report = user_privacy_audit(p, mutation="seed-reuse")
     assert not report.passed
@@ -584,8 +627,8 @@ def test_single_db_orbit_key_is_cyclic():
 def _encoded_orbit_key(p, db_query):
     """The N = 1 orbit key as it was: the least encoded query over the rs
     cyclic shifts of its pool indices."""
-    shifts = (shift_mapping(p.rs_size, d) for d in range(p.rs_size))
-    return min(encode_query_payload(p, relabel_table((db_query,), s)[0]) for s in shifts)
+    shifts = (shift_cell((db_query,), d)[0] for d in range(p.rs_size))
+    return min(encode_query_payload(p, shifted) for shifted in shifts)
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -595,14 +638,10 @@ def test_single_db_orbit_key_splits_like_the_encoded_key(k):
     p = SchemeParams.create(1, k, 2)
     for mutation in (None, *MUTATIONS):
         try:
-            reps = [representative_table(p, d, mutation)[0] for d in range(1, k + 1)]
+            reps = [canonical_table(p, d, mutation)[0] for d in range(1, k + 1)]
         except SchemeError:
             continue  # bare-companion needs a larger sum, which N = 1 lacks
-        queries = [
-            relabel_table((rep,), shift_mapping(p.rs_size, d))[0]
-            for rep in reps
-            for d in range(p.rs_size)
-        ]
+        queries = [shift_cell((rep,), d)[0] for rep in reps for d in range(p.rs_size)]
         new = [orbit_key(p, dq) for dq in queries]
         old = [_encoded_orbit_key(p, dq) for dq in queries]
         for i, j in itertools.combinations(range(len(queries)), 2):

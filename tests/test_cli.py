@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import re
+import shlex
 import socket
 import subprocess
 import sys
@@ -15,6 +17,36 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _readme_examples():
+    """(argv, output lines) of every README block that runs one spircr
+    command and shows what it prints."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in re.findall(r"^```\n(.*?)^```", readme, re.S | re.M):
+        command, *output = block.splitlines()
+        if command.startswith("$ spircr ") and not any(ln.startswith("$") for ln in output):
+            examples.append((shlex.split(command)[2:], output))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_the_readme_shows_four_examples():
+    assert [argv[0] for argv, _ in README_EXAMPLES] == ["table", "retrieve", "audit", "region"]
+
+
+@pytest.mark.parametrize("argv,want", README_EXAMPLES, ids=[a[0] for a, _ in README_EXAMPLES])
+def test_readme_example_prints_what_the_readme_shows(capsys, argv, want):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    got = out.splitlines()
+    if want[-1] == "...":  # the README shows a prefix
+        want = want[:-1]
+        got = got[: len(want)]
+    assert got == want
 
 
 def test_table_text(capsys):
@@ -212,6 +244,20 @@ def test_provision_writes_files(capsys, tmp_path):
     assert (tmp_path / "database_state.bin").exists()
     assert (tmp_path / "user.json").exists()
     assert "database state:" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("retrieve", "--n", "2", "--k", "2", "--desired", "1", "--format", "text"),
+    ("table", "--n", "2", "--k", "3"),
+    ("provision", "--n", "1", "--k", "3"),
+])
+def test_a_seed_that_is_not_utf8_is_taken_as_its_octets(capsys, tmp_path, argv):
+    # how Python hands over a --seed argument holding the octet 0xff
+    if argv[0] == "provision":
+        argv += ("--out", str(tmp_path))
+    code, out, err = run(capsys, *argv, "--seed", "\udcff")
+    assert code == 0
+    assert err == ""
 
 
 def test_usage_errors_exit_two(capsys):

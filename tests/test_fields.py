@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -58,6 +59,12 @@ def test_seed_material():
     assert s.derive("x") == s.derive("x")
     with pytest.raises(ValueError):
         Seed(b"short")
+
+
+def test_seed_text_that_is_not_utf8_hashes_as_its_octets():
+    # how Python hands over a command-line argument holding the octet 0xff
+    assert Seed.from_text("\udcff") == Seed(hashlib.sha256(b"\xff").digest()[:16])
+    assert Seed.from_text("\u00ff") == Seed(hashlib.sha256("\u00ff".encode()).digest()[:16])
 
 
 def test_stream_determinism():

@@ -206,6 +206,34 @@ def test_pipelined_frames_are_each_answered(served):
     assert kinds == [FrameType.ANSWER, FrameType.HELLO, FrameType.ANSWER]
 
 
+@pytest.mark.parametrize("big", [False, True], ids=["reply-fits", "reply-waits"])
+def test_frames_before_a_bad_header_are_answered_then_the_connection_ends(pair, monkeypatch, big):
+    # a whole frame and a bad header in one write: the frame is answered,
+    # even when its reply has to wait for the peer to read, then EOF
+    server = pair.servers[0]
+    hello = encode_frame(Frame(FrameType.HELLO, b""))
+    reply = hello
+    if big:
+        server._listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        reply = encode_frame(Frame(FrameType.ANSWER, bytes(range(256)) * 4096))
+        real = server.handle_frame
+        monkeypatch.setattr(
+            server,
+            "handle_frame",
+            lambda frame: decode_frame(reply) if frame.ftype == FrameType.HELLO else real(frame),
+        )
+    with socket.socket() as sock:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.settimeout(5.0)
+        sock.connect(server.address)
+        sock.sendall(hello + b"XXXX" + hello[4:])
+        got = bytearray()
+        while chunk := sock.recv(1 << 16):
+            got += chunk
+    assert got == reply
+    pair.retrieve(1, "past-bad-header")
+
+
 def test_unexpected_frame_type_gets_error(served):
     _, _, _, addresses = served
     with socket.create_connection(addresses[0]) as sock:

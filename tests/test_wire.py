@@ -194,6 +194,11 @@ def test_frame_buffer_refuses_a_bad_header_once_it_is_whole():
     assert buf.feed(bad[:9]) == []
     with pytest.raises(WireError, match="bad magic"):
         buf.feed(bad[9:10])
+    # the whole frames before a bad header ride on the error
+    hello = encode_frame(Frame(FrameType.HELLO, b""))
+    with pytest.raises(WireError, match="bad magic") as refused:
+        FrameBuffer().feed(hello + bad)
+    assert refused.value.frames == [Frame(FrameType.HELLO, b"")]
 
 
 def test_query_payload_rejects_malformed():
