@@ -38,10 +38,8 @@ seed 1, with the mutation, if any, applied at seed 1.
     index u. The emitted table is therefore g.T_k with g uniform on
     G = S_L^K x S_rs. At N = 1, L = 1, the variant is the identity and g is
     the cyclic shift by u - 1.
-  * tables_for_seed, the gate's oracle below, applies the mutation after
-    the shift instead. apply_mutation commutes with every relabeling
-    (test_mutations_commute_with_relabeling keeps that), so its tables
-    are the ones select_query emits.
+  * tables_for_seed, the gate's oracle below, enumerates select_query
+    over every draw tape, so its tables are the ones select_query emits.
   * g permutes the columns of X and carries the user's pool row S_1 to S_u.
     Ranks do not change when columns are permuted, so every table in the
     orbit has T_k's rank values, and the P(T)-weighted I is T_k's own value,
@@ -81,10 +79,10 @@ Audits:
   cr-difference      I(T, answers, S_u, W_k; pool symbols other than S_u) = 0
 
 The exact query distribution is the acceptance gate's oracle, not an audit
-path: query_distribution enumerates every coin through tables_for_seed and
-_seed1_tables into a Distribution, and _check_bound raises
-InstanceTooLarge past its bound. They stay here because the gate imports
-query_distribution; no audit calls any of them.
+path: query_distribution enumerates every coin through tables_for_seed into
+a Distribution, and _check_bound raises InstanceTooLarge past its bound.
+They stay here because the gate imports query_distribution; no audit calls
+any of them.
 """
 from __future__ import annotations
 
@@ -96,19 +94,17 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import ClassVar
 
-from .plan import SchemeParams, messages, plan_with_perms
+from .plan import SchemeParams, messages
 from .scheme import (
     Mutation,
     QueryTable,
     SpirRequest,
-    apply_mutation,
-    assign_common_randomness,
+    assign_common_randomness,  # noqa: F401  perfbench/tracing.py wraps it by name
     canonical_table,
     format_request,
-    permute_nonseed,
-    shift_cell,
+    permute_nonseed,  # noqa: F401  perfbench/tracing.py wraps it by name
+    select_query,
     variant_count,
-    variant_mappings,
 )
 from .sim import (
     DecodeError,
@@ -198,31 +194,40 @@ def joint_space_outcomes(params: SchemeParams) -> int:
     return table_space_outcomes(params) * params.q ** (params.K * params.L + params.rs_size)
 
 
-@functools.lru_cache(maxsize=256)
-def _seed1_tables(params: SchemeParams, desired: int) -> list[tuple[int, QueryTable]]:
-    """Distinct canonical-seed query tables with coin multiplicities."""
-    counts: dict[QueryTable, int] = {}
-    perms_per_msg = list(itertools.permutations(range(params.L)))
-    vmaps = variant_mappings(params, 1)
-    for perms in itertools.product(perms_per_msg, repeat=params.K):
-        table = assign_common_randomness(plan_with_perms(params, desired, perms), params)
-        for vmap in vmaps:
-            variant = permute_nonseed(table, 1, vmap)
-            counts[variant] = counts.get(variant, 0) + 1
-    return [(w, t) for t, w in counts.items()]
+class _Tape:
+    """A draw stream that replays tape, then draws 0, and records the range
+    of every draw. A draw is reduced mod its range, so it is always valid;
+    tables_for_seed refuses a replay whose ranges differ from the probe's."""
+
+    def __init__(self, tape: tuple[int, ...] = ()):
+        self.draws, self.ranges = iter(tape), []
+
+    def randrange(self, n: int) -> int:
+        self.ranges.append(n)
+        return next(self.draws, 0) % n
 
 
 @functools.lru_cache(maxsize=256)
 def tables_for_seed(
     params: SchemeParams, desired: int, seed: int, mutation: Mutation | None = None
 ) -> list[tuple[int, QueryTable]]:
-    """Distinct query tables emitted for (desired, user index), with weights."""
+    """Distinct query tables select_query emits for (desired, user index),
+    each weighted by the number of draw tapes that emit it.
+
+    A probe call records the range of every draw, and every tape in the
+    product of those ranges is replayed. Fisher-Yates draw ranges do not
+    depend on earlier draws, so the tapes are equally likely; a replay that
+    asks for other ranges raises AuditError.
+    """
+    probe = _Tape()
+    select_query(params, desired, seed, probe, mutation)
     counts: dict[QueryTable, int] = {}
-    for w, table in _seed1_tables(params, desired):
-        shifted = shift_cell(table, seed - 1)
-        if mutation is not None:
-            shifted = apply_mutation(shifted, desired, seed, mutation)
-        counts[shifted] = counts.get(shifted, 0) + w
+    for tape in itertools.product(*map(range, probe.ranges)):
+        replay = _Tape(tape)
+        table = select_query(params, desired, seed, replay, mutation)
+        if replay.ranges != probe.ranges:
+            raise AuditError(f"tape {tape} draws from {replay.ranges}, not the probe's ranges")
+        counts[table] = counts.get(table, 0) + 1
     return [(w, t) for t, w in counts.items()]
 
 

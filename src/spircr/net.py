@@ -440,7 +440,7 @@ def run_client_retrieval(
                 )
             if reply.ftype != FrameType.ANSWER:
                 raise NetError(f"{_where(address)} sent unexpected {reply.ftype.name} frame")
-            answers.append(decode_answer_payload(reply.payload))
+            answers.append(decode_answer_payload(reply.payload, params.q))
         except WireError as e:
             raise NetError(f"{_where(address)} sent a malformed frame: {e}") from e
     return build_transcript(

@@ -225,38 +225,23 @@ def apply_mutation(table: QueryTable, desired: int, seed: int, mutation: Mutatio
 
     seed-reuse masks an undesired 1-sum with the seed index, unmask-one
     sends that 1-sum bare, and bare-companion sends a larger desired sum
-    bare. The request is the smallest by a key that no relabeling of symbol
-    or pool indices changes: (database, message) for the 1-sums, and
-    (database, size, message subset, cyclic offset of the database holding
-    its companion) for the larger sums, a key that is unique at size 2. So
-    mutating a relabeled table equals relabeling the mutated table.
+    bare. The request is the first eligible one, database by database, in
+    request order. canonical_table applies the fault to T_k at seed 1, and
+    select_query carries it wherever its relabeling moves that request.
     """
     if mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutation!r}")
-    home = {
-        sr.terms: db
-        for db, db_reqs in enumerate(table)
-        for sr in db_reqs
-        if desired not in messages(sr.terms)
-    }
-    picks = []
     for db, db_reqs in enumerate(table):
         for i, sr in enumerate(db_reqs):
-            terms = sr.terms
-            subset = messages(terms)
+            subset = messages(sr.terms)
             if mutation == "bare-companion":
-                if len(terms) >= 2 and desired in subset:
-                    rest = tuple([t for t in terms if t[0] != desired])
-                    offset = (home[rest] - db) % len(table)
-                    picks.append(((db, len(terms), subset, offset), i))
-            elif len(terms) == 1 and subset[0] != desired:
-                picks.append(((db, subset), i))
-    if not picks:
-        raise SchemeError(f"no request eligible for mutation {mutation!r}")
-    (db, *_), i = min(picks)
-    rows = [list(db_reqs) for db_reqs in table]
-    rows[db][i] = SpirRequest(rows[db][i].terms, seed if mutation == "seed-reuse" else None)
-    return tuple(tuple(x) for x in rows)
+                eligible = len(subset) >= 2 and desired in subset
+            else:
+                eligible = len(subset) == 1 and subset[0] != desired
+            if eligible:
+                bad = SpirRequest(sr.terms, seed if mutation == "seed-reuse" else None)
+                return table[:db] + (db_reqs[:i] + (bad,) + db_reqs[i + 1 :],) + table[db + 1 :]
+    raise SchemeError(f"no request eligible for mutation {mutation!r}")
 
 
 def select_query(

@@ -228,7 +228,8 @@ def encode_answer_payload(values: tuple[int, ...]) -> bytes:
     return struct.pack(f">{1 + len(values)}I", len(values), *values)
 
 
-def decode_answer_payload(data: bytes) -> tuple[int, ...]:
+def decode_answer_payload(data: bytes, q: int) -> tuple[int, ...]:
+    """The answers, each refused unless it is a symbol of F_q."""
     if len(data) < _U32.size:
         raise WireError("payload truncated")
     (count,) = _U32.unpack_from(data)
@@ -239,7 +240,10 @@ def decode_answer_payload(data: bytes) -> tuple[int, ...]:
         raise WireError("payload truncated")
     if len(data) > end:
         raise WireError(f"{len(data) - end} trailing octets in payload")
-    return struct.unpack_from(f">{count}I", data, _U32.size)
+    values = struct.unpack_from(f">{count}I", data, _U32.size)
+    if values and max(values) >= q:
+        raise WireError(f"answer {max(values)} outside [0, {q})")
+    return values
 
 
 def encode_error_payload(reason: str) -> bytes:

@@ -4,7 +4,8 @@ Checks a plan against the layout the scheme promises: every request a
 nonempty terms tuple with messages strictly increasing, per-database subset
 counts, each desired symbol requested once, each undesired symbol introduced
 once, and a companion at another database for every larger desired sum. The
-package builds plans and never validates them, so the checks live here.
+package builds plans and never validates them, so the checks live here,
+with the one check of a fault-injected query against its honest twin.
 """
 from __future__ import annotations
 
@@ -99,3 +100,16 @@ def validate_pir_plan(plan: PirPlan, params: SchemeParams | None = None) -> list
                     f"sits at the same database db{db}"
                 )
     return problems
+
+
+def assert_one_fault(honest, faulty, seed: int, mutation: str) -> None:
+    """faulty is honest with exactly one request changed, its terms kept: a
+    1-sum masked with the seed (seed-reuse) or sent bare (unmask-one), or a
+    larger sum sent bare (bare-companion)."""
+    assert [len(x) for x in honest] == [len(y) for y in faulty]
+    changed = [(a, b) for x, y in zip(honest, faulty) for a, b in zip(x, y) if a != b]
+    assert len(changed) == 1, changed
+    (a, b), = changed
+    assert b.terms == a.terms
+    assert b.cr == (seed if mutation == "seed-reuse" else None)
+    assert (len(a.terms) >= 2) == (mutation == "bare-companion")

@@ -1,5 +1,4 @@
 import itertools
-import random
 from collections import Counter
 from fractions import Fraction
 
@@ -30,7 +29,6 @@ from spircr.scheme import (
     MUTATIONS,
     SchemeError,
     SpirRequest,
-    apply_mutation,
     assign_common_randomness,
     canonical_table,
     permute_nonseed,
@@ -54,6 +52,7 @@ from spircr.sim import (
 from spircr.wire import encode_query_payload
 
 from _gf import rref
+from _plan_oracle import assert_one_fault
 
 
 def test_distribution_invariants():
@@ -97,6 +96,56 @@ def test_query_distribution_bound():
     p = SchemeParams.create(2, 3, 2)
     with pytest.raises(InstanceTooLarge):
         query_distribution(p, 1, 1, bound=10)
+
+
+def test_query_distribution_refuses_an_out_of_range_user_index():
+    p = SchemeParams.create(1, 3, 2)
+    for u in (0, 4, 7):
+        with pytest.raises(ValueError, match=f"user index {u} outside"):
+            query_distribution(p, 1, 1, user_cr_index=u)
+
+
+def test_query_distribution_follows_select_query(monkeypatch):
+    # the oracle enumerates the query select_query emits, not a model of it
+    p = SchemeParams.create(1, 2, 2)
+    real = select_query
+
+    def first_request_bare(params, desired, user_cr_index, rng, mutation=None):
+        table = real(params, desired, user_cr_index, rng, mutation)
+        head, *rest = table[0]
+        return ((SpirRequest(head.terms, None), *rest),) + table[1:]
+
+    monkeypatch.setattr(audit, "select_query", first_request_bare)
+    tables_for_seed.cache_clear()
+    try:
+        dist = query_distribution(p, 1, 1)
+    finally:
+        tables_for_seed.cache_clear()
+    any_coins = SeededStream(Seed.from_text("any"))  # (1,2) draws nothing
+    assert dist.mass == {
+        encode_query_payload(p, first_request_bare(p, 1, u, any_coins)[0]): Fraction(1, 2)
+        for u in (1, 2)
+    }
+
+
+def test_tables_for_seed_refuses_dependent_draw_ranges(monkeypatch):
+    # equal weights per tape hold only while no draw range depends on an
+    # earlier draw
+    p = SchemeParams.create(1, 3, 2)
+    real = select_query
+
+    def dependent(params, desired, user_cr_index, rng, mutation=None):
+        if rng.randrange(2):
+            rng.randrange(3)
+        return real(params, desired, user_cr_index, rng, mutation)
+
+    monkeypatch.setattr(audit, "select_query", dependent)
+    tables_for_seed.cache_clear()
+    try:
+        with pytest.raises(AuditError, match="not the probe's"):
+            tables_for_seed(p, 1, 1)
+    finally:
+        tables_for_seed.cache_clear()
 
 
 def test_enumeration_completeness_two_db():
@@ -416,20 +465,16 @@ def _relabel(table, sigma, tau):
     )
 
 
-def _random_g(p, rng):
-    sigma = [rng.sample(range(1, p.L + 1), p.L) for _ in range(p.K)]
-    image = rng.sample(range(1, p.rs_size + 1), p.rs_size)
-    return sigma, dict(zip(range(1, p.rs_size + 1), image))
-
-
 @pytest.mark.parametrize("n,k,distinct", [(2, 2, 3456), (1, 3, 3)])
 def test_every_emitted_table_relabels_the_representative(n, k, distinct):
     # every coin select_query can draw (symbol orderings, non-seed variant,
     # user index) emits g.T_k, with g's symbol part read off the orderings
-    # and its pool part found by matching terms
+    # and its pool part found by matching terms; and tables_for_seed, which
+    # replays select_query, weighs the tables as these composed steps do
     p = SchemeParams.create(n, k, 2)
     identity = {i: i for i in range(1, p.rs_size + 1)}
     emitted_union = set()
+    composed: dict = {}
     for desired in range(1, k + 1):
         rep = canonical_table(p, desired)
         for perms in itertools.product(itertools.permutations(range(p.L)), repeat=k):
@@ -444,44 +489,33 @@ def test_every_emitted_table_relabels_the_representative(n, k, distinct):
                     assert tau[1] == u
                     assert relabel(relabeled, tau, None) == emitted
                     emitted_union.add(emitted)
+                    composed.setdefault((desired, u), Counter())[emitted] += 1
     assert len(emitted_union) == distinct
-
-
-@pytest.mark.parametrize("n,k", [(2, 3), (3, 2), (3, 3)])
-def test_mutations_commute_with_relabeling(n, k):
-    p = SchemeParams.create(n, k, 2)
-    rng = random.Random(f"commute-{n}-{k}")
-    for desired in range(1, k + 1):
-        rep = canonical_table(p, desired)
-        for mutation in MUTATIONS:
-            for _ in range(10):
-                sigma, tau = _random_g(p, rng)
-                assert apply_mutation(_relabel(rep, sigma, tau), desired, tau[1], mutation) == (
-                    _relabel(apply_mutation(rep, desired, 1, mutation), sigma, tau)
-                )
+    for (desired, u), counts in composed.items():
+        assert Counter({t: w for w, t in tables_for_seed(p, desired, u)}) == counts
 
 
 @pytest.mark.parametrize("n,k", [(1, 3), (2, 2), (3, 2)])
 def test_a_mutated_canonical_table_is_the_fault_at_seed_one(n, k):
-    # and select_query, which relabels it, puts the fault where mutating
-    # the honest query it would emit from the same coins puts it
+    # one request of T_k changes, and select_query, which relabels the
+    # faulty T_k, changes one request of the honest query it would emit
+    # from the same coins
     p = SchemeParams.create(n, k, 2)
     for desired in range(1, k + 1):
         honest = canonical_table(p, desired)
         for mutation in MUTATIONS:
             try:
-                want = apply_mutation(honest, desired, 1, mutation)
+                faulty = canonical_table(p, desired, mutation)
             except SchemeError:  # bare-companion needs a larger sum, which N = 1 lacks
-                with pytest.raises(SchemeError):
-                    canonical_table(p, desired, mutation)
+                assert (n, mutation) == (1, "bare-companion")
                 continue
-            assert canonical_table(p, desired, mutation) == want
+            assert_one_fault(honest, faulty, 1, mutation)
             for i in range(4):
                 u = i % p.rs_size + 1
                 label = f"fault-{n}-{k}-{desired}-{mutation}-{i}"
                 emitted = select_query(p, desired, u, SeededStream(Seed.from_text(label)), mutation)
                 query = select_query(p, desired, u, SeededStream(Seed.from_text(label)))
-                assert emitted == apply_mutation(query, desired, u, mutation)
+                assert_one_fault(query, emitted, u, mutation)
 
 
 def test_each_canonical_plan_is_masked_once(monkeypatch):
@@ -655,7 +689,7 @@ def test_audits_enumerate_no_coins(n, k, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an audit enumerated the coin space")
 
-    for name in ("tables_for_seed", "_seed1_tables"):
+    for name in ("tables_for_seed", "select_query"):
         monkeypatch.setattr(audit, name, refuse)
     p = SchemeParams.create(n, k, 2)
     for mutation in (None, "seed-reuse", "unmask-one"):

@@ -26,6 +26,7 @@ from spircr.wire import (
     FrameType,
     WireError,
     decode_frame,
+    encode_answer_payload,
     encode_error_payload,
     encode_frame,
     encode_query_payload,
@@ -426,6 +427,35 @@ def test_malformed_reply_raises_net_error(pair, connects, monkeypatch, reply, re
         pair.retrieve(1, "garbage")
     pair.retrieve(2, "next")
     assert connects.connects == total_connects
+
+
+def test_an_answer_outside_the_field_is_refused(tmp_path):
+    # a fake database at (1,2,257) answers 4000000000, a symbol of no F_257
+    params, master, _, user_path = make_state(tmp_path, n=1, k=2, label="fake")
+    user = load_user_file(user_path)[1]
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        address = listener.getsockname()
+
+        def answer_once():
+            conn, _ = listener.accept()
+            with conn:
+                read_frame(conn)
+                reply = encode_answer_payload((4_000_000_000, 0))
+                write_frame(conn, Frame(FrameType.ANSWER, reply))
+
+        fake = threading.Thread(target=answer_once)
+        fake.start()
+        try:
+            with pytest.raises(NetError, match=(
+                rf"{address[0]}:{address[1]} sent a malformed frame: "
+                r"answer 4000000000 outside \[0, 257\)"
+            )):
+                run_client_retrieval([address], params, 1, user, master.derive("query"))
+        finally:
+            fake.join(timeout=5.0)
+            session = net._idle.pop((address,), None)
+            if session is not None:
+                session.close()
 
 
 def test_stop_ends_open_connections(pair):

@@ -132,7 +132,7 @@ def test_parameter_mismatch_names_both_shapes():
 
 def test_answer_payload_roundtrip():
     values = (0, 1, 255, 4_000_000_000)
-    assert decode_answer_payload(encode_answer_payload(values)) == values
+    assert decode_answer_payload(encode_answer_payload(values), 4_294_967_291) == values
 
 
 def test_error_payload_roundtrip():
