@@ -38,6 +38,7 @@ import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401  perfbench/tracing.py subclasses it
+from contextlib import suppress
 from pathlib import Path
 
 from .fields import Seed, SeededStream, sha256
@@ -173,12 +174,39 @@ _IDLE_S = 30.0  # so that silent peers cannot pin file descriptors
 _RECV_SIZE = 1 << 16
 
 
-def _send(sock: socket.socket, data) -> int:
-    """Octets of data a non-blocking socket took now; 0 if it had no room."""
-    try:
-        return sock.send(data)
-    except BlockingIOError:
-        return 0
+class Connection:
+    """One server connection without its socket: the octets it received
+    become replies in ``outbox``, and the loop that owns the socket reports
+    what it read and sent, with the time. Calls no socket, poll or clock."""
+
+    def __init__(self, handle_frame, now: float):
+        self._handle_frame = handle_frame
+        self._incoming = FrameBuffer()
+        self.outbox = bytearray()  # replies not yet sent
+        self.deadline = now + _IDLE_S  # idle until then: no octet moved either way
+        self.closing = False  # EOF or a bad header: end once the outbox drains
+
+    @property
+    def done(self) -> bool:
+        return self.closing and not self.outbox
+
+    def received(self, data: bytes, now: float) -> None:
+        """Answer every whole frame data completes, in order; data=b"" is
+        EOF. A bad header closes, once the frames before it are answered."""
+        try:
+            frames = self._incoming.feed(data)
+        except WireError as e:
+            frames = e.frames
+            self.closing = True
+        self.outbox += b"".join([encode_frame(self._handle_frame(f)) for f in frames])
+        self.closing = self.closing or not data
+        self.deadline = now + _IDLE_S
+
+    def sent(self, n: int, now: float) -> None:
+        """The peer took the first n octets of the outbox."""
+        if n:
+            del self.outbox[:n]
+            self.deadline = now + _IDLE_S
 
 
 class DatabaseServer:
@@ -214,26 +242,19 @@ class DatabaseServer:
         return self
 
     def _serve(self) -> None:
-        """Answer each whole frame as it arrives, until stop(). A reply its peer
-        has no room for waits in that connection's outbox, and the connection
-        is polled for writing instead of reading until the outbox drains. A
-        connection ends on EOF, any OSError, _IDLE_S with no octet received
-        or sent, or a bad header, once the frames before it are answered."""
+        """Move octets between each socket and its Connection until stop().
+        A connection is polled for reading while its outbox is empty, else
+        for writing; a reply goes out in the pass that read its frame. A
+        connection ends once it is done, on any OSError, or when its idle
+        deadline passes."""
         poller = select.poll()
         poller.register(self._listener, select.POLLIN)
         poller.register(self._woken, select.POLLIN)
-        listener = self._listener.fileno()
-        conns: dict[int, tuple[socket.socket, FrameBuffer]] = {}  # every open connection, by fd
-        deadlines: dict[int, float] = {}
-        outboxes: dict[int, bytearray] = {}  # unsent replies
-        closing: set[int] = set()  # sent a bad header: end once the outbox drains
+        conns: dict[int, tuple[socket.socket, Connection]] = {}  # every open connection, by fd
         sweep = time.monotonic() + _IDLE_S
 
         def end(fd: int) -> None:
             poller.unregister(fd)
-            del deadlines[fd]
-            outboxes.pop(fd, None)
-            closing.discard(fd)
             conns.pop(fd)[0].close()
 
         try:
@@ -242,59 +263,38 @@ class DatabaseServer:
                 now = time.monotonic()
                 for fd, _ in ready:
                     if fd not in conns:
-                        if fd != listener:  # stop() closed the other end of _woken
+                        if fd != self._listener.fileno():  # stop() closed the other end of _woken
                             return
                         try:
                             sock, _ = self._listener.accept()
                         except OSError:  # e.g. out of file descriptors
                             continue
                         sock.setblocking(False)
-                        fd = sock.fileno()
-                        conns[fd] = sock, FrameBuffer()
-                        deadlines[fd] = now + _IDLE_S
-                        poller.register(fd, select.POLLIN)
+                        conns[sock.fileno()] = sock, Connection(lambda f: self.handle_frame(f), now)
+                        poller.register(sock, select.POLLIN)
                         continue
-                    sock, incoming = conns[fd]
-                    out = outboxes.get(fd)
+                    sock, conn = conns[fd]
+                    writing = bool(conn.outbox)
                     try:
-                        if out is not None:
-                            sent = _send(sock, out)
-                            if not sent:
-                                continue
-                            del out[:sent]
-                            if not out:
-                                del outboxes[fd]
-                                poller.modify(fd, select.POLLIN)
-                        else:
-                            data = sock.recv(_RECV_SIZE)
-                            if not data:
-                                end(fd)
-                                continue
-                            try:
-                                frames = incoming.feed(data)
-                            except WireError as e:
-                                frames = e.frames
-                                closing.add(fd)
-                            replies = b"".join([encode_frame(self.handle_frame(f)) for f in frames])
-                            if replies:
-                                sent = _send(sock, replies)
-                                if sent < len(replies):
-                                    outboxes[fd] = bytearray(memoryview(replies)[sent:])
-                                    poller.modify(fd, select.POLLOUT)
-                        if fd in closing and fd not in outboxes:
+                        if not writing:
+                            conn.received(sock.recv(_RECV_SIZE), now)
+                        if conn.outbox:
+                            with suppress(BlockingIOError):  # the peer has no room yet
+                                conn.sent(sock.send(conn.outbox), now)
+                        if conn.done:
                             end(fd)
-                            continue
-                        deadlines[fd] = now + _IDLE_S
+                        elif writing != bool(conn.outbox):
+                            poller.modify(fd, select.POLLOUT if conn.outbox else select.POLLIN)
                     except (OSError, WireError):
                         end(fd)
                     except Exception:  # a fault of this server: drop one connection, keep serving
                         traceback.print_exc()
                         end(fd)
                 if now >= sweep:
-                    for fd, deadline in list(deadlines.items()):
-                        if deadline <= now:
+                    for fd, (_, conn) in list(conns.items()):
+                        if conn.deadline <= now:
                             end(fd)
-                    sweep = min(deadlines.values(), default=now + _IDLE_S)
+                    sweep = min((conn.deadline for _, conn in conns.values()), default=now + _IDLE_S)
         finally:
             for sock, _ in conns.values():
                 sock.close()
