@@ -31,6 +31,7 @@ state, as little-endian u32: messages row by row, then the pool.
 from __future__ import annotations
 
 import json
+import math
 import select
 import socket
 import struct
@@ -172,6 +173,9 @@ def load_user_file(path: str | Path) -> tuple[SchemeParams, UserRandomness]:
 _IDLE_S = 30.0  # so that silent peers cannot pin file descriptors
 # Octets one recv asks for; a longer frame takes more than one.
 _RECV_SIZE = 1 << 16
+# A listener whose accept failed stays readable: rest it this long, so that
+# the loop does not spin on it.
+_ACCEPT_PAUSE_S = 0.05
 
 
 class Connection:
@@ -252,15 +256,22 @@ class DatabaseServer:
         poller.register(self._woken, select.POLLIN)
         conns: dict[int, tuple[socket.socket, Connection]] = {}  # every open connection, by fd
         sweep = time.monotonic() + _IDLE_S
+        resume = math.inf  # when a listener rested after a failed accept is polled again
 
         def end(fd: int) -> None:
+            nonlocal resume
             poller.unregister(fd)
             conns.pop(fd)[0].close()
+            if resume < math.inf:  # a descriptor is free again
+                resume = 0.0
 
         try:
             while True:
-                ready = poller.poll(max(0.0, sweep - time.monotonic()) * 1000)
+                ready = poller.poll(max(0.0, min(sweep, resume) - time.monotonic()) * 1000)
                 now = time.monotonic()
+                if now >= resume:
+                    poller.modify(self._listener, select.POLLIN)
+                    resume = math.inf
                 for fd, _ in ready:
                     if fd not in conns:
                         if fd != self._listener.fileno():  # stop() closed the other end of _woken
@@ -268,6 +279,8 @@ class DatabaseServer:
                         try:
                             sock, _ = self._listener.accept()
                         except OSError:  # e.g. out of file descriptors
+                            poller.modify(self._listener, 0)
+                            resume = now + _ACCEPT_PAUSE_S
                             continue
                         sock.setblocking(False)
                         conns[sock.fileno()] = sock, Connection(lambda f: self.handle_frame(f), now)

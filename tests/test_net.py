@@ -538,6 +538,50 @@ def test_a_failed_accept_keeps_the_server_serving(served, monkeypatch):
     assert len(failed) == 1
 
 
+def test_a_failing_accept_does_not_spin(served, monkeypatch):
+    # the listener stays readable while accept fails: the server must rest it
+    _, _, _, addresses = served
+    real = socket.socket.accept
+    failed = []
+    until = time.monotonic() + 0.5
+
+    def accept(sock):
+        if time.monotonic() < until:
+            failed.append(sock)
+            raise OSError(errno.EMFILE, "Too many open files")
+        return real(sock)
+
+    monkeypatch.setattr(socket.socket, "accept", accept)
+    with socket.create_connection(addresses[0], timeout=5.0) as sock:
+        write_frame(sock, Frame(FrameType.HELLO, b""))
+        assert read_frame(sock).ftype == FrameType.HELLO
+    assert 1 <= len(failed) <= 25
+
+def test_a_rested_listener_accepts_again_when_a_connection_ends(served, monkeypatch):
+    _, _, _, addresses = served
+    monkeypatch.setattr(net, "_ACCEPT_PAUSE_S", 60.0)
+    real = socket.socket.accept
+    failed = []
+
+    def accept(sock):
+        if not failed:
+            failed.append(sock)
+            raise OSError(errno.EMFILE, "Too many open files")
+        return real(sock)
+
+    with socket.create_connection(addresses[0], timeout=5.0) as held:
+        write_frame(held, Frame(FrameType.HELLO, b""))
+        assert read_frame(held).ftype == FrameType.HELLO
+        monkeypatch.setattr(socket.socket, "accept", accept)
+        with socket.create_connection(addresses[0], timeout=5.0) as waiting:
+            started = time.monotonic()
+            while not failed and time.monotonic() - started < 5.0:
+                time.sleep(0.01)
+            held.close()  # frees a descriptor: waiting is accepted long before 60 s
+            write_frame(waiting, Frame(FrameType.HELLO, b""))
+            assert read_frame(waiting).ftype == FrameType.HELLO
+    assert len(failed) == 1
+
 def test_half_a_frame_does_not_delay_a_retrieval(pair):
     hello = encode_frame(Frame(FrameType.HELLO, b""))
     with socket.create_connection(pair.addresses[0], timeout=5.0) as stalled:
