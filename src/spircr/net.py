@@ -3,10 +3,15 @@
 The dealer writes one state file shared verbatim by all databases (message
 store plus mask pool) and one small user file holding only the user's own
 (index, value) pool entry. A server answers every connection from one
-thread; the client decodes locally. A server's sockets never block: a reply
-its peer has no room for yet waits, and that connection is not read until
-the peer takes it. A connection that moves no octet either way for 30 s is
-closed, so a silent peer, or one that stops reading its replies, is dropped.
+thread; the client decodes locally. Each server connection is a
+socket-free ``Connection`` core, which turns the octets received into
+replies and keeps the idle deadline, plus a poll loop that only moves its
+octets. A server's sockets never block: a reply its peer has no room for
+yet waits, and that connection is not read until the peer takes it. A
+connection that moves no octet either way for 30 s is closed, so a silent
+peer, or one that stops reading its replies, is dropped. When accept fails
+(out of file descriptors, say), the listener rests for 50 ms or until a
+connection ends, so that the loop does not spin on it.
 
 A server answers a QUERY frame in one pass from its octets to the columns
 of X each request sums (wire.decode_query_payload), and admits it only in
@@ -192,6 +197,7 @@ class Connection:
 
     @property
     def done(self) -> bool:
+        """Closing, and every reply sent: the loop ends the connection."""
         return self.closing and not self.outbox
 
     def received(self, data: bytes, now: float) -> None:
@@ -250,7 +256,8 @@ class DatabaseServer:
         A connection is polled for reading while its outbox is empty, else
         for writing; a reply goes out in the pass that read its frame. A
         connection ends once it is done, on any OSError, or when its idle
-        deadline passes."""
+        deadline passes. After a failed accept the listener rests for
+        _ACCEPT_PAUSE_S, or until a connection ends."""
         poller = select.poll()
         poller.register(self._listener, select.POLLIN)
         poller.register(self._woken, select.POLLIN)
@@ -283,6 +290,7 @@ class DatabaseServer:
                             resume = now + _ACCEPT_PAUSE_S
                             continue
                         sock.setblocking(False)
+                        # handle_frame is looked up per frame: it may be replaced on a live server
                         conns[sock.fileno()] = sock, Connection(lambda f: self.handle_frame(f), now)
                         poller.register(sock, select.POLLIN)
                         continue
