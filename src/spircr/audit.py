@@ -68,8 +68,12 @@ The orbit key names the orbit under that group (orbit_key):
     order, with mask 0 for an unmasked request; pool indices start at 1,
     so 0 names none. A shift keeps the request order and the tuple is
     injective, so its least image over the orbit is an exact canonical form
-    with no precondition. No nonzero shift fixes a query, because it moves
-    the index on the W_k 1-sum, so |O_k| = rs and P(q | k, u) = 1.
+    with no precondition. One shift gives it: every shift keeps the terms
+    and each unmasked request's 0, and takes the first masked request's
+    index through each of 1..rs once, so the tuples first differ there and
+    the least is the shift taking that index to 1 (any shift if none is
+    masked). No nonzero shift fixes a query, because it moves the index on
+    the W_k 1-sum, so |O_k| = rs and P(q | k, u) = 1.
 
 Audits:
   reliability        every step sim.decode plans leaves exactly the desired
@@ -326,14 +330,13 @@ def orbit_invariant(db_query: tuple[SpirRequest, ...]) -> tuple:
 def orbit_key(params: SchemeParams, db_query: tuple[SpirRequest, ...]):
     """Equal for two queries of one database exactly when some relabeling
     the scheme emits maps one onto the other (module docstring). At N >= 2
-    it is orbit_invariant, under that function's precondition."""
+    it is orbit_invariant, under that function's precondition; at N = 1 the
+    least shifted tuple, from the one shift that moves the first mask to 1."""
     if params.N >= 2:
         return orbit_invariant(db_query)
     rs = params.rs_size
-    return min(
-        tuple((sr.terms, 0 if sr.cr is None else (sr.cr - 1 + d) % rs + 1) for sr in db_query)
-        for d in range(rs)
-    )
+    first = next((sr.cr for sr in db_query if sr.cr is not None), 1)
+    return tuple((sr.terms, 0 if sr.cr is None else (sr.cr - first) % rs + 1) for sr in db_query)
 
 
 def user_privacy_audit(params: SchemeParams, mutation: Mutation | None = None) -> AuditReport:
@@ -402,22 +405,29 @@ def _leak(params: SchemeParams, view: list[list[int]], target: set[int]) -> int:
     basis: dict[int, dict[int, int]] = {}  # pivot -> row, 1 at the pivot, 0 before
     leak = 0
     for cols in view:
-        row = _row([c + last if c in target else c for c in cols], [], q)
+        row: dict[int, int] = {}  # column -> count, the target columns moved last
+        for c in cols:
+            c = c + last if c in target else c
+            row[c] = row.get(c, 0) + 1
+        if len(row) < len(cols):  # a column repeats, so a count may reach q
+            row = {c: x % q for c, x in row.items() if x % q}
         while row:
             lead = min(row)
             pivot_row = basis.get(lead)
+            f = row[lead]
             if pivot_row is None:
-                inv = pow(row[lead], -1, q)
-                basis[lead] = {c: x * inv % q for c, x in row.items()}
+                if f != 1:
+                    inv = pow(f, -1, q)
+                    row = {c: x * inv % q for c, x in row.items()}
+                basis[lead] = row
                 leak += lead >= last
                 break
-            f = row[lead]
             for c, y in pivot_row.items():
                 x = (row.get(c, 0) - f * y) % q
                 if x:
                     row[c] = x
-                else:
-                    row.pop(c, None)
+                else:  # present: f and y are nonzero, so a missing c gives x != 0
+                    del row[c]
     return leak
 
 
@@ -432,14 +442,13 @@ def misdecoded_symbols(
     list is a proof. Raises DecodeError wherever sim.decode_plan does.
     """
     requests = [sr for db_reqs in table for sr in db_reqs]
+    shared: dict[int, list[int]] = {}  # companion -> its columns; one step reads each source
     wrong = []
     for sym, source, companion in decode_plan(params, desired, table, seed):
-        sub = (
-            [pool_column(params, seed)]
-            if companion is None
-            else request_columns(params, requests[companion])
-        )
-        sub.append(message_column(params, desired, sym))
+        if companion is not None and companion not in shared:
+            shared[companion] = request_columns(params, requests[companion])
+        sub = [pool_column(params, seed)] if companion is None else shared[companion]
+        sub = sub + [message_column(params, desired, sym)]
         if _row(request_columns(params, requests[source]), sub, params.q):
             wrong.append(sym)
     return wrong

@@ -93,36 +93,36 @@ def fresh_masks(slots: list[tuple[int, Terms, object]], desired: int, n_msg: int
     to its index. Only the terms break ties, between requests over one
     subset at one database (N >= 3)."""
     order = sorted(
-        slots,
-        key=lambda slot: (
-            len(slot[1]), slot[0], subset_rank(messages(slot[1]), desired, n_msg), slot[1]
-        ),
+        (len(terms), db, subset_rank([m for m, _ in terms], desired, n_msg), terms, i)
+        for i, (db, terms, _) in enumerate(slots)
     )
-    return {tag: index for index, (_, _, tag) in enumerate(order, start=2)}
+    return {slots[key[-1]][2]: index for index, key in enumerate(order, start=2)}
 
 
 def assign_common_randomness(plan: PirPlan, params: SchemeParams) -> QueryTable:
     """Attach pool indices to a plan, producing the canonical table whose
     seed is pool index 1."""
+    desired = plan.desired
+    # dict(terms) maps each message of a request to its symbol
     home = {
         terms: db
         for db, reqs in enumerate(plan.per_db)
         for terms in reqs
-        if plan.desired not in messages(terms)
+        if desired not in dict(terms)
     }
     if len(home) != params.rs_size - 1:
         raise SchemeError(f"expected {params.rs_size - 1} fresh mask slots, found {len(home)}")
-    label = fresh_masks([(db, terms, terms) for terms, db in home.items()], plan.desired, params.K)
+    label = fresh_masks([(db, terms, terms) for terms, db in home.items()], desired, params.K)
     per_db = []
     for db, reqs in enumerate(plan.per_db):
         out = []
         for terms in reqs:
-            if plan.desired not in messages(terms):
+            if terms in label:  # undesired-only
                 out.append(SpirRequest(terms, label[terms]))
             elif len(terms) == 1:
                 out.append(SpirRequest(terms, 1))
             else:
-                rest = tuple([t for t in terms if t[0] != plan.desired])
+                rest = tuple([t for t in terms if t[0] != desired])
                 if home.get(rest, db) == db:
                     raise SchemeError(f"companion sum not found for {format_terms(terms)}")
                 out.append(SpirRequest(terms, label[rest]))
