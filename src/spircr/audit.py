@@ -329,9 +329,8 @@ def orbit_invariant(db_query: tuple[SpirRequest, ...]) -> tuple:
 
 def orbit_key(params: SchemeParams, db_query: tuple[SpirRequest, ...]):
     """Equal for two queries of one database exactly when some relabeling
-    the scheme emits maps one onto the other (module docstring). At N >= 2
-    it is orbit_invariant, under that function's precondition; at N = 1 the
-    least shifted tuple, from the one shift that moves the first mask to 1."""
+    the scheme emits maps one onto the other (module docstring): at N >= 2
+    orbit_invariant, under its precondition, and at N = 1 the least shift."""
     if params.N >= 2:
         return orbit_invariant(db_query)
     rs = params.rs_size

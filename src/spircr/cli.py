@@ -44,8 +44,8 @@ from .scheme import (
     SchemeError,
     canonical_family,
     family_json,
-    measured_rates,
     render_family_text,
+    scheme_rates,
     select_query,
     table_lines,
     variant_count,
@@ -245,7 +245,7 @@ def cmd_region(parser, args) -> int:
 
     corner = corner_point(n, k)
     base = baselines(n, k)
-    scheme_rates = measured_rates(SchemeParams.create(n, k))
+    rates = scheme_rates(n, k)
     classical = classical_point(n, k) if n >= 2 else None
     verdict = plan = None
     if args.target:
@@ -258,7 +258,7 @@ def cmd_region(parser, args) -> int:
             "n_db": n,
             "n_msg": k,
             "corner": corner.as_strings(),
-            "scheme": scheme_rates.as_strings(),
+            "scheme": rates.as_strings(),
             "baselines": base.to_dict(),
         }
         if classical is not None:
@@ -271,7 +271,7 @@ def cmd_region(parser, args) -> int:
     else:
         print(f"databases: {n}  messages: {k}")
         print(f"corner point        d={corner.d}  rho_s={corner.rho_s}  rho_u={corner.rho_u}")
-        print(f"scheme as built     d={scheme_rates.d}  rho_s={scheme_rates.rho_s}  rho_u={scheme_rates.rho_u}")
+        print(f"scheme as built     d={rates.d}  rho_s={rates.rho_s}  rho_u={rates.rho_u}")
         if classical is not None:
             print(f"classical point     d={classical.d}  rho_s={classical.rho_s}  rho_u={classical.rho_u}")
         print(

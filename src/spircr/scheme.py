@@ -37,8 +37,10 @@ from .plan import (
     SchemeParams,
     Terms,
     build_pir_plan,  # noqa: F401  perfbench/tracing.py wraps scheme.build_pir_plan
+    cr_pool_size,
     format_terms,
     identity_plan,
+    message_length,
     messages,
     sample_orderings,
     subset_rank,
@@ -287,14 +289,18 @@ def select_query(
     return relabel(canonical_table(params, desired, mutation), pool, symbols)
 
 
+def scheme_rates(n_db: int, n_msg: int) -> RateTriple:
+    """Exact per-symbol costs of the scheme from the plan's sizes alone, so
+    at any shape: SchemeParams' wire-format limit does not apply."""
+    length = message_length(n_db, n_msg)
+    download, pool = total_download(n_db, n_msg), cr_pool_size(n_db, n_msg)
+    return RateTriple(Fraction(download, length), Fraction(pool, length), Fraction(1, length))
+
+
 @functools.lru_cache(maxsize=256)
 def measured_rates(params: SchemeParams) -> RateTriple:
     """Exact per-symbol costs of the scheme at these parameters."""
-    return RateTriple(
-        d=Fraction(total_download(params.N, params.K), params.L),
-        rho_s=Fraction(params.rs_size, params.L),
-        rho_u=Fraction(1, params.L),
-    )
+    return scheme_rates(params.N, params.K)
 
 
 def format_request(sr: SpirRequest, length: int) -> str:

@@ -11,6 +11,7 @@ import pytest
 
 from spircr.cli import main
 from spircr.net import load_database_state, serve_database
+from spircr.region import corner_point
 
 
 def run(capsys, *argv):
@@ -229,6 +230,21 @@ def test_region_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "rho_u,d_min,rho_s_min"
     assert len(lines) == 6  # header + steps+1 samples
+
+
+@pytest.mark.parametrize("n,k", [(2, 32), (10, 20)])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_region_past_the_wire_format_limit(capsys, n, k, fmt):
+    # L = N^K no longer fits the wire format's 32 bits, but rates need no params
+    code, out, err = run(capsys, "region", "--n", str(n), "--k", str(k), "--format", fmt)
+    assert (code, err) == (0, "")
+    corner = corner_point(n, k)
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc["scheme"] == doc["corner"] == corner.as_strings()
+    else:
+        line = f"scheme as built     d={corner.d}  rho_s={corner.rho_s}  rho_u={corner.rho_u}"
+        assert line in out.splitlines()
 
 
 def test_region_single_db(capsys):

@@ -15,7 +15,7 @@ from spircr.region import (
     tail_sum,
     time_share_plan,
 )
-from spircr.scheme import RateTriple, measured_rates
+from spircr.scheme import RateTriple, measured_rates, scheme_rates
 
 GRID = [(n, k) for n in (1, 2, 3) for k in (2, 3, 4)]
 
@@ -45,7 +45,7 @@ def test_corner_points(n, k, expected):
 @pytest.mark.parametrize("n,k", GRID)
 def test_scheme_rates_sit_on_every_boundary(n, k):
     rates = measured_rates(SchemeParams.create(n, k))
-    assert rates == corner_point(n, k)
+    assert rates == scheme_rates(n, k) == corner_point(n, k)
     verdict = check_region(n, k, rates)
     assert verdict.inside
     assert all(c.tight for c in verdict.checks)
