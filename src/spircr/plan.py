@@ -107,12 +107,6 @@ def request_sort_key(terms: Terms):
     return (len(terms), terms)
 
 
-def subset_rank(subset: tuple[int, ...], desired: int, n_msg: int) -> tuple[int, ...]:
-    # Messages ranked cyclically starting at the desired index, so the
-    # desired message's own subsets come first at every size.
-    return tuple(sorted((m - desired) % n_msg for m in subset))
-
-
 def _check_desired(params: SchemeParams, desired: int) -> None:
     if not 1 <= desired <= params.K:
         raise ValueError(f"desired index {desired} outside [1, {params.K}]")
@@ -156,7 +150,7 @@ def plan_with_perms(
             for subset in subsets:
                 if desired not in subset:
                     count = (n_db - 1) ** (t - 1)
-                    side[db, subset] = [tuple((m, take(m)) for m in subset) for _ in range(count)]
+                    side[db, subset] = [tuple([(m, take(m)) for m in subset]) for _ in range(count)]
                     per_db[db - 1] += side[db, subset]
                 elif t == 1:
                     per_db[db - 1].append(((desired, take(desired)),))
@@ -171,11 +165,11 @@ def plan_with_perms(
 
 
 def _ranked_subsets(n_msg: int, desired: int, t: int) -> list[tuple[int, ...]]:
-    """Every t-subset of the messages, ordered by ``subset_rank``: the
-    combinations of cyclic offsets from the desired index come out in that
-    order already."""
+    """Every t-subset of the messages, ordered by cyclic subset rank (see
+    scheme.fresh_masks): the combinations of cyclic offsets from the desired
+    index come out in that order already."""
     return [
-        tuple(sorted((desired - 1 + o) % n_msg + 1 for o in offsets))
+        tuple(sorted([(desired - 1 + o) % n_msg + 1 for o in offsets]))
         for offsets in itertools.combinations(range(n_msg), t)
     ]
 
@@ -223,5 +217,5 @@ def format_terms(terms: Terms, length: int | None = None) -> str:
 
 def identity_plan(params: SchemeParams, desired: int) -> PirPlan:
     """Plan with identity symbol orderings; used for display and fixtures."""
-    perms = tuple(identity_permutation(params.L) for _ in range(params.K))
+    perms = (identity_permutation(params.L),) * params.K
     return plan_with_perms(params, desired, perms)

@@ -43,7 +43,6 @@ from .plan import (
     message_length,
     messages,
     sample_orderings,
-    subset_rank,
     total_download,
 )
 
@@ -94,8 +93,10 @@ def fresh_masks(slots: list[tuple[int, Terms, object]], desired: int, n_msg: int
     (database, terms, tag) for each such request; the result maps every tag
     to its index. Only the terms break ties, between requests over one
     subset at one database (N >= 3)."""
+    # The cyclic subset rank: messages ranked cyclically starting at the
+    # desired index, so the desired message's own subsets come first.
     order = sorted(
-        (len(terms), db, subset_rank([m for m, _ in terms], desired, n_msg), terms, i)
+        (len(terms), db, tuple(sorted([(m - desired) % n_msg for m, _ in terms])), terms, i)
         for i, (db, terms, _) in enumerate(slots)
     )
     return {slots[key[-1]][2]: index for index, key in enumerate(order, start=2)}

@@ -19,6 +19,13 @@ from spircr.plan import (
 )
 
 
+def subset_rank(subset: tuple[int, ...], desired: int, n_msg: int) -> tuple[int, ...]:
+    """Messages ranked cyclically starting at the desired index, so the
+    desired message's own subsets come first at every size: the order of
+    plan._ranked_subsets and the third key of scheme.fresh_masks."""
+    return tuple(sorted((m - desired) % n_msg for m in subset))
+
+
 def all_requests(plan: PirPlan) -> list[tuple[int, Terms]]:
     """(database, request) pairs, database by database, 1-based."""
     return [(db + 1, r) for db, reqs in enumerate(plan.per_db) for r in reqs]

@@ -12,14 +12,13 @@ from spircr.plan import (
     identity_plan,
     message_length,
     messages,
-    subset_rank,
     total_download,
     _ranked_subsets,
 )
 from spircr.scheme import assign_common_randomness, table_lines
 
 from _gf import in_span
-from _plan_oracle import all_requests, symbol_of, validate_pir_plan
+from _plan_oracle import all_requests, subset_rank, symbol_of, validate_pir_plan
 
 GRID = [(n, k) for n in (1, 2, 3) for k in (2, 3, 4)]
 
