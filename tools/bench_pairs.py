@@ -16,6 +16,7 @@ run would make the side that runs second import faster than the first.
 
 The output has, per workload and per metric, the runs, median, q1 and q3 of
 each side and how many pairs the change won; a tie counts for neither side.
+What the change does, the claim and any notes are for its author to add.
 """
 from __future__ import annotations
 
@@ -137,8 +138,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--seed-base", type=int, required=True)
     parser.add_argument("--trace-seconds", type=float, default=0, help="0: no traced runs")
-    parser.add_argument("--what", default="", help="what the change does, for the record")
-    parser.add_argument("--note", action="append", default=[])
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
@@ -146,7 +145,6 @@ def main(argv: list[str] | None = None) -> int:
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seeds = [args.seed_base + i for i in range(args.pairs)]
     doc: dict = {
-        "what": args.what,
         "command": (f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
                     "--trace 0, from git archive copies of each revision, PYTHONDONTWRITEBYTECODE=1"),
         "host": f"{os.cpu_count()}-core {platform.machine()}, Python {platform.python_version()}",
@@ -172,7 +170,6 @@ def main(argv: list[str] | None = None) -> int:
                     side: run_once(trees[side], workload, seeds[0], args.trace_seconds, 1)
                     for side in SIDES
                 }
-    doc["notes"] = args.note
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 
