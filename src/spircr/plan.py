@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 from .fields import DrawStream, Permutation, identity_permutation, is_prime, sample_permutation
 
@@ -38,7 +38,9 @@ def total_download(n_db: int, n_msg: int) -> int:
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Instance shape: N databases, K messages over F_q, plus derived sizes.
+    """Instance shape: N databases and K messages over F_q. (N, K, q) is the
+    whole input; the sizes they fix are derived, and kept as fields so that
+    to_dict(), and every document built from it, carries them.
 
     L is the per-message symbol count, rs_size the shared-randomness pool
     size, ru_size how many of those symbols the user holds.
@@ -47,9 +49,9 @@ class SchemeParams:
     N: int
     K: int
     q: int
-    L: int
-    rs_size: int
-    ru_size: int
+    L: int = field(init=False)
+    rs_size: int = field(init=False)
+    ru_size: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.N < 1:
@@ -58,25 +60,15 @@ class SchemeParams:
             raise ValueError("need at least two messages")
         if not is_prime(self.q):
             raise ValueError(f"q={self.q} is not prime")
-        if self.L != message_length(self.N, self.K):
-            raise ValueError(f"L must be {message_length(self.N, self.K)}")
-        if self.rs_size != cr_pool_size(self.N, self.K):
-            raise ValueError(f"rs_size must be {cr_pool_size(self.N, self.K)}")
-        if self.ru_size != 1:
-            raise ValueError("ru_size is fixed at 1")
+        object.__setattr__(self, "L", message_length(self.N, self.K))
+        object.__setattr__(self, "rs_size", cr_pool_size(self.N, self.K))
+        object.__setattr__(self, "ru_size", 1)
         if self.L >= 1 << 32 or self.q >= 1 << 32:
             raise ValueError("L and q must fit in 32 bits for the wire format")
 
     @classmethod
     def create(cls, n_db: int, n_msg: int, q: int = 2) -> "SchemeParams":
-        return cls(
-            N=n_db,
-            K=n_msg,
-            q=q,
-            L=message_length(n_db, n_msg),
-            rs_size=cr_pool_size(n_db, n_msg),
-            ru_size=1,
-        )
+        return cls(n_db, n_msg, q)
 
     def to_dict(self) -> dict:
         """The fields in declaration order: the params object of every

@@ -145,10 +145,10 @@ def canonical_table(
     the mutation, if any, applied at seed 1. The plan is masked once per
     (params, k), whatever the mutation."""
     table = _honest_table(params, desired)
-    return table if mutation is None else apply_mutation(table, desired, 1, mutation)
+    return table if mutation is None else apply_mutation(table, desired, mutation)
 
 
-def _relabel_terms(terms: Terms, symbols: tuple[Permutation, ...]) -> Terms:
+def _relabel_terms(symbols: tuple[Permutation, ...], terms: Terms) -> Terms:
     return tuple([(m, symbols[m - 1][s - 1] + 1) for m, s in terms])
 
 
@@ -158,19 +158,15 @@ def relabel(
     """Rename pool index i to pool[i] and, given symbols, symbol s of
     message m to symbols[m - 1][s - 1] + 1, restoring each database's
     canonical request order. Unmasked requests stay unmasked."""
+    # One sort for both: a table relabeled by its pool alone keeps its order.
+    rename = (
+        (lambda terms: terms) if symbols is None else functools.partial(_relabel_terms, symbols)
+    )
     out = []
     for db_reqs in table:
-        if symbols is None:
-            reqs = [SpirRequest(sr.terms, None if sr.cr is None else pool[sr.cr]) for sr in db_reqs]
-        else:
-            # request_sort_key, then the position in db_reqs so no two keys tie
-            keyed = sorted(
-                (len(sr.terms), _relabel_terms(sr.terms, symbols), i, sr.cr)
-                for i, sr in enumerate(db_reqs)
-            )
-            reqs = [
-                SpirRequest(terms, None if cr is None else pool[cr]) for _, terms, _, cr in keyed
-            ]
+        # request_sort_key, then the position in db_reqs so no two keys tie
+        keyed = sorted((len(sr.terms), rename(sr.terms), i, sr.cr) for i, sr in enumerate(db_reqs))
+        reqs = [SpirRequest(terms, None if cr is None else pool[cr]) for _, terms, _, cr in keyed]
         out.append(tuple(reqs))
     return tuple(out)
 
@@ -223,14 +219,16 @@ def sample_variant(params: SchemeParams, rng: DrawStream) -> dict[int, int]:
     return {i + 2: j + 2 for i, j in enumerate(p)}
 
 
-def apply_mutation(table: QueryTable, desired: int, seed: int, mutation: Mutation) -> QueryTable:
-    """Deliberately break one masking rule; used for fault-injection audits.
+def apply_mutation(table: QueryTable, desired: int, mutation: Mutation) -> QueryTable:
+    """Deliberately break one masking rule of a seed-1 table; used for
+    fault-injection audits.
 
-    seed-reuse masks an undesired 1-sum with the seed index, unmask-one
+    seed-reuse masks an undesired 1-sum with the seed index 1, unmask-one
     sends that 1-sum bare, and bare-companion sends a larger desired sum
     bare. The request is the first eligible one, database by database, in
-    request order. canonical_table applies the fault to T_k at seed 1, and
-    select_query carries it wherever its relabeling moves that request.
+    request order. Faults live only in T_k: canonical_table applies them
+    there, and select_query carries each wherever its relabeling moves that
+    request.
     """
     if mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutation!r}")
@@ -242,7 +240,7 @@ def apply_mutation(table: QueryTable, desired: int, seed: int, mutation: Mutatio
             else:
                 eligible = len(subset) == 1 and subset[0] != desired
             if eligible:
-                bad = SpirRequest(sr.terms, seed if mutation == "seed-reuse" else None)
+                bad = SpirRequest(sr.terms, 1 if mutation == "seed-reuse" else None)
                 return table[:db] + (db_reqs[:i] + (bad,) + db_reqs[i + 1 :],) + table[db + 1 :]
     raise SchemeError(f"no request eligible for mutation {mutation!r}")
 
@@ -273,7 +271,7 @@ def select_query(
         # tau reads the honest T_k: a mutated slot has lost its mask.
         tau = fresh_masks(
             [
-                (db, _relabel_terms(sr.terms, symbols), sr.cr)
+                (db, _relabel_terms(symbols, sr.terms), sr.cr)
                 for db, db_reqs in enumerate(canonical_table(params, desired))
                 for sr in db_reqs
                 if desired not in messages(sr.terms)

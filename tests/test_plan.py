@@ -42,9 +42,6 @@ def test_params_validation():
         SchemeParams.create(1, 1)
     with pytest.raises(ValueError):
         SchemeParams.create(2, 2, 4)  # composite field size
-    p = SchemeParams.create(2, 2, 257)
-    with pytest.raises(ValueError):
-        SchemeParams(N=2, K=2, q=257, L=5, rs_size=3, ru_size=1)
 
 
 def test_request_terms_helpers():

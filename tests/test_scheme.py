@@ -271,18 +271,18 @@ def test_desired_only_exposure():
 def test_mutations_change_the_right_slot():
     p = SchemeParams.create(2, 2, 2)
     table = select_query(p, 1, 1, stream("mut"))
-    reused = apply_mutation(table, 1, 1, "seed-reuse")
+    reused = apply_mutation(table, 1, "seed-reuse")
     flat = [sr for db in reused for sr in db]
     assert sum(1 for sr in flat if sr.cr == 1) == 3  # seed now on one undesired sum too
 
-    unmasked = apply_mutation(table, 1, 1, "unmask-one")
+    unmasked = apply_mutation(table, 1, "unmask-one")
     assert any(sr.cr is None and messages(sr.terms) == (2,) for db in unmasked for sr in db)
 
-    bare = apply_mutation(table, 1, 1, "bare-companion")
+    bare = apply_mutation(table, 1, "bare-companion")
     assert any(sr.cr is None and len(sr.terms) == 2 for db in bare for sr in db)
 
     with pytest.raises(SchemeError):
-        apply_mutation(select_query(SchemeParams.create(1, 2, 2), 1, 1, stream("m")), 1, 1, "bare-companion")
+        apply_mutation(select_query(SchemeParams.create(1, 2, 2), 1, 1, stream("m")), 1, "bare-companion")
     assert set(MUTATIONS) == {"seed-reuse", "unmask-one", "bare-companion"}
 
 
