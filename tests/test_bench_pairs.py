@@ -73,6 +73,37 @@ def test_resolved_needs_nine_wins_in_ten_and_a_gap_wider_than_the_spread():
     assert not bench_pairs.resolved(bench_pairs.summarize(parent, close, BETTER)["metrics"]["latency_p50_ms"])
 
 
+def _verdicts(parent, change):
+    metrics = bench_pairs.summarize(parent, change, BETTER)["metrics"]
+    return {name: bench_pairs.verdict(metric, 0.25) for name, metric in metrics.items()}
+
+
+def test_verdict_better_needs_every_change_run_past_every_parent_run():
+    parent = [_result(2.0 + i / 100, 500 + i) for i in range(10)]
+    assert _verdicts(parent, [_result(1.9, 510)] * 10) == {"latency_p50_ms": "better", "ops_per_s": "better"}
+    # one change run no better than the parent's best: a 5% gain is only within
+    mixed = [_result(1.9, 530)] * 9 + [_result(2.0, 500)]
+    assert _verdicts(parent, mixed) == {"latency_p50_ms": "within", "ops_per_s": "within"}
+
+
+def test_verdict_worse_is_a_median_past_the_bound():
+    parent = [_result(2.0 + i / 100, 500 + i) for i in range(10)]
+    # +50% latency and -40% ops are worse; +20% latency and -20% ops are within
+    assert _verdicts(parent, [_result(3.0, 300)] * 10) == {"latency_p50_ms": "worse", "ops_per_s": "worse"}
+    assert _verdicts(parent, [_result(2.4, 400)] * 10) == {"latency_p50_ms": "within", "ops_per_s": "within"}
+
+
+def test_verdict_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    # parent quartiles 1.75 and 4.25 around a median of 3 (latency), and
+    # 275 and 525 around 400 (ops): spreads of 83% and 62%
+    parent = [_result(x, 100 * x + 100) for x in (1.0, 2.0, 3.0, 4.0, 5.0) * 2]
+    assert _verdicts(parent, [_result(9.0, 10)] * 10) == {
+        "latency_p50_ms": "unresolved", "ops_per_s": "unresolved",
+    }
+    # a change past every parent run is better however wide the spread
+    assert _verdicts(parent, [_result(0.5, 700)] * 10) == {"latency_p50_ms": "better", "ops_per_s": "better"}
+
+
 def test_a_copy_with_byte_code_is_refused(tmp_path):
     bench_pairs.check_no_bytecode(tmp_path)
     (tmp_path / "src" / "spircr" / "__pycache__").mkdir(parents=True)

@@ -16,7 +16,10 @@ run would make the side that runs second import faster than the first.
 
 The output has, per workload and per metric, the runs, median, q1 and q3 of
 each side and how many pairs the change won; a tie counts for neither side.
-What the change does, the claim and any notes are for its author to add.
+Each metric also carries its bound from BENCHMARK.json's end_to_end list and
+a verdict against it (see verdict): the no-regression rule every change is
+held to. What the change does, the claim and any notes are for its author
+to add.
 """
 from __future__ import annotations
 
@@ -129,6 +132,24 @@ def resolved(metric: dict) -> bool:
     return wins * 10 >= pairs * 9 and gap > spread
 
 
+def verdict(metric: dict, bound: float) -> str:
+    """better: every change run reads better than every parent run;
+    unresolved: otherwise, when the parent's quartile spread, (q3 - q1)
+    over its median, is wider than the bound; worse: otherwise, when the
+    change's median is worse than the parent's by more than the bound;
+    within: in every other case."""
+    sign = 1 if metric["better"] == "higher" else -1
+    parent, change = metric["parent"], metric["change"]
+    if min(sign * v for v in change["runs"]) > max(sign * v for v in parent["runs"]):
+        return "better"
+    base = parent["median"]
+    if parent["q3"] - parent["q1"] > bound * abs(base):
+        return "unresolved"
+    if sign * (change["median"] - base) < -bound * abs(base):
+        return "worse"
+    return "within"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     parser.add_argument("parent_rev")
@@ -143,6 +164,7 @@ def main(argv: list[str] | None = None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     seeds = [args.seed_base + i for i in range(args.pairs)]
     doc: dict = {
         "command": (f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
@@ -163,8 +185,11 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{workload} pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
             doc[workload] = {"seeds": seeds, **summarize(results["parent"], results["change"], better)}
             for name, metric in doc[workload]["metrics"].items():
+                metric["bound"] = bounds[name]
+                metric["verdict"] = verdict(metric, bounds[name])
                 print(f"{workload} {name}: {metric['parent']['median']} -> {metric['change']['median']} "
-                      f"({metric['change_wins']}, resolved: {resolved(metric)})", file=sys.stderr)
+                      f"({metric['change_wins']}, resolved: {resolved(metric)}, "
+                      f"verdict: {metric['verdict']})", file=sys.stderr)
             if args.trace_seconds:
                 doc.setdefault(f"trace_seed_{seeds[0]}", {})[workload] = {
                     side: run_once(trees[side], workload, seeds[0], args.trace_seconds, 1)
