@@ -159,9 +159,7 @@ def relabel(
     message m to symbols[m - 1][s - 1] + 1, restoring each database's
     canonical request order. Unmasked requests stay unmasked."""
     # One sort for both: a table relabeled by its pool alone keeps its order.
-    rename = (
-        (lambda terms: terms) if symbols is None else functools.partial(_relabel_terms, symbols)
-    )
+    rename = (lambda t: t) if symbols is None else functools.partial(_relabel_terms, symbols)
     out = []
     for db_reqs in table:
         # request_sort_key, then the position in db_reqs so no two keys tie

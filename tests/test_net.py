@@ -1,7 +1,9 @@
 import errno
 import hashlib
 import json
+import re
 import socket
+import struct
 import sys
 import threading
 import time
@@ -274,23 +276,36 @@ def test_concurrent_clients(served):
     assert all(results)
 
 
-@pytest.mark.parametrize("header,body", [
-    (b'[1, 2]', b""),
-    (b'{"kind": "database-state"}', b""),
-    (b'{"kind": "database-state", "params": {"N": "1", "K": 2, "q": 2}, "symbol_count": 4}', b"\0" * 16),
-    (b'{"kind": "database-state", "params": {"N": 1, "K": 2, "q": 4}, "symbol_count": 4}', b"\0" * 16),
-    (b'{"kind": "database-state", "params": {"N": 1, "K": 2, "q": 2}, "symbol_count": "4"}', b"\0" * 16),
-    (b'{"kind": "database-state", "params": {"N": 1, "K": 2, "q": 2}, "symbol_count": 4}', b"\2" + b"\0" * 15),
-], ids=["not-an-object", "no-params", "string-N", "composite-q", "string-count", "symbol-not-below-q"])
-def test_malformed_state_raises_net_error(tmp_path, header, body):
+@pytest.mark.parametrize("header,body,reason", [
+    (b'[1, 2]', b"", "field 'kind' missing"),
+    (b'{"kind": "database-state"}', b"", "field 'params' missing"),
+    (b'{"kind": "database-state", "params": {"N": "1", "K": 2, "q": 2}, "symbol_count": 4}', b"\0" * 16,
+     "field 'N' missing"),
+    (b'{"kind": "database-state", "params": {"N": 1, "K": 2, "q": 4}, "symbol_count": 4}', b"\0" * 16,
+     "bad params: q=4 is not prime"),
+    (b'{"kind": "database-state", "params": {"N": 1, "K": 2, "q": 2}, "symbol_count": "4"}', b"\0" * 16,
+     "field 'symbol_count' missing"),
+    (b'{"kind": "database-state", "params": {"N": 1, "K": 2, "q": 2}, "symbol_count": 4}', b"\2" + b"\0" * 15,
+     r"state file holds a symbol outside \[0, 2\)"),
+    (b"\xff", b"", "unreadable state header"),
+    (b"{not json", b"", "unreadable state header"),
+    (b'{"kind": "user-randomness"}', b"", "not a database state file"),
+    (b'{"kind": "database-state", "params": {"N": 1, "K": 2, "q": 2}, "symbol_count": 5}', b"\0" * 20,
+     "state file symbol count mismatch"),
+    (b'{"kind": "database-state", "params": {"N": 1, "K": 2, "q": 2}, "symbol_count": 4}', b"\0" * 12,
+     "state file symbol count mismatch"),
+], ids=["not-an-object", "no-params", "string-N", "composite-q", "string-count", "symbol-not-below-q",
+        "not-utf8", "not-json", "other-kind", "count-not-the-shapes", "short-body"])
+def test_malformed_state_raises_net_error(tmp_path, header, body, reason):
     path = tmp_path / "state.bin"
     path.write_bytes(header + b"\n" + body)
-    with pytest.raises(NetError):
+    with pytest.raises(NetError, match=f"^{reason}"):
         load_database_state(path)
 
 
 @pytest.mark.parametrize("drop,replace", [
     ("index", {}), ("value", {}), ("params", {}), (None, {"index": "1"}), (None, {"kind": 3}),
+    (None, {"kind": "database-state"}),
 ])
 def test_malformed_user_file_raises_net_error(tmp_path, drop, replace):
     _, _, _, user_path = make_state(tmp_path, label="user")
@@ -316,6 +331,14 @@ def test_user_file_entry_out_of_range_raises_net_error(tmp_path, field, value, m
     user_path.write_text(json.dumps(doc))
     with pytest.raises(NetError, match=match):
         load_user_file(user_path)
+
+
+@pytest.mark.parametrize("content", [b"\xff", b"{not json"], ids=["not-utf8", "not-json"])
+def test_an_unreadable_user_file_raises_net_error(tmp_path, content):
+    path = tmp_path / "user.json"
+    path.write_bytes(content)
+    with pytest.raises(NetError, match="^unreadable user file: "):
+        load_user_file(path)
 
 
 class _CountingSocket:
@@ -381,13 +404,18 @@ def pair(tmp_path):
 
 
 def _fail_once(monkeypatch, server, reply):
-    """Make ``server`` send ``reply`` to the next frame, then serve as before."""
+    """Make ``server`` send ``reply`` to the next frame, or raise it if it
+    is an exception, then serve as before."""
     real = server.handle_frame
     calls = []
 
     def handle_frame(frame):
         calls.append(frame)
-        return reply if len(calls) == 1 else real(frame)
+        if len(calls) > 1:
+            return real(frame)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
 
     monkeypatch.setattr(server, "handle_frame", handle_frame)
 
@@ -429,33 +457,104 @@ def test_malformed_reply_raises_net_error(pair, connects, monkeypatch, reply, re
     assert connects.connects == total_connects
 
 
-def test_an_answer_outside_the_field_is_refused(tmp_path):
-    # a fake database at (1,2,257) answers 4000000000, a symbol of no F_257
+def _against_fake_database(tmp_path, reply_to):
+    """Retrieve at (1,2,257) from a fake database that reads the QUERY and
+    then runs reply_to on the connection before closing it. The retrieval
+    must fail: returns the fake's host:port and the NetError's text."""
     params, master, _, user_path = make_state(tmp_path, n=1, k=2, label="fake")
     user = load_user_file(user_path)[1]
     with socket.create_server(("127.0.0.1", 0)) as listener:
         address = listener.getsockname()
 
-        def answer_once():
+        def serve_once():
             conn, _ = listener.accept()
             with conn:
                 read_frame(conn)
-                reply = encode_answer_payload((4_000_000_000, 0))
-                write_frame(conn, Frame(FrameType.ANSWER, reply))
+                reply_to(conn)
 
-        fake = threading.Thread(target=answer_once)
+        fake = threading.Thread(target=serve_once)
         fake.start()
         try:
-            with pytest.raises(NetError, match=(
-                rf"{address[0]}:{address[1]} sent a malformed frame: "
-                r"answer 4000000000 outside \[0, 257\)"
-            )):
+            with pytest.raises(NetError) as failed:
                 run_client_retrieval([address], params, 1, user, master.derive("query"))
         finally:
             fake.join(timeout=5.0)
             session = net._idle.pop((address,), None)
             if session is not None:
                 session.close()
+    assert not fake.is_alive()
+    return f"{address[0]}:{address[1]}", str(failed.value)
+
+
+def _reset(sock):
+    """Make closing sock reset the connection instead of ending it cleanly."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+
+
+def test_an_answer_outside_the_field_is_refused(tmp_path):
+    # a fake database at (1,2,257) answers 4000000000, a symbol of no F_257
+    def answer(conn):
+        write_frame(conn, Frame(FrameType.ANSWER, encode_answer_payload((4_000_000_000, 0))))
+
+    where, error = _against_fake_database(tmp_path, answer)
+    assert error == f"{where} sent a malformed frame: answer 4000000000 outside [0, 257)"
+
+
+def test_a_database_that_closes_without_answering_fails_the_retrieval(tmp_path):
+    where, error = _against_fake_database(tmp_path, lambda conn: None)
+    assert error == f"{where} closed the connection without answering"
+
+
+def test_a_database_that_resets_mid_exchange_fails_the_retrieval(tmp_path):
+    where, error = _against_fake_database(tmp_path, _reset)
+    assert error.startswith(f"transport failure talking to {where}: ")
+
+
+def test_a_reply_of_the_wrong_type_is_refused(pair, monkeypatch):
+    _fail_once(monkeypatch, pair.servers[0], Frame(FrameType.HELLO, b""))
+    host, port = pair.addresses[0]
+    with pytest.raises(NetError, match=re.escape(f"{host}:{port} sent unexpected HELLO frame")):
+        pair.retrieve(1, "hello-reply")
+    pair.retrieve(2, "after-hello-reply")
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_the_client_needs_one_address_per_database(tmp_path, count):
+    # refused before any connection: the addresses are never dialled
+    params, master, _, user_path = make_state(tmp_path, label="count")
+    user = load_user_file(user_path)[1]
+    addresses = [("127.0.0.1", 9)] * count
+    with pytest.raises(NetError, match=f"^need 2 database addresses, got {count}$"):
+        run_client_retrieval(addresses, params, 1, user, master.derive("query"))
+
+
+def _hello(address):
+    """The reply to one HELLO on a new connection, or None if it ends first."""
+    with socket.create_connection(address, timeout=5.0) as sock:
+        write_frame(sock, Frame(FrameType.HELLO, b""))
+        return read_frame(sock)
+
+
+def test_a_peer_that_resets_is_dropped_and_the_server_serves_on(pair, capsys):
+    address = pair.addresses[0]
+    with socket.create_connection(address, timeout=5.0) as sock:
+        write_frame(sock, Frame(FrameType.HELLO, b""))
+        assert read_frame(sock).ftype == FrameType.HELLO
+        _reset(sock)
+    assert _hello(address).ftype == FrameType.HELLO
+    # a reset is the peer's doing, not a fault of the server: no traceback
+    assert capsys.readouterr().err == ""
+
+
+def test_a_fault_in_handle_frame_ends_one_connection_and_the_server_serves_on(
+    pair, monkeypatch, capsys
+):
+    server = pair.servers[0]
+    _fail_once(monkeypatch, server, RuntimeError("planted fault"))
+    assert _hello(server.address) is None
+    assert _hello(server.address).ftype == FrameType.HELLO
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "RuntimeError: planted fault" in err
 
 
 def test_stop_ends_open_connections(pair):

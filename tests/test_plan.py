@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -42,6 +43,25 @@ def test_params_validation():
         SchemeParams.create(1, 1)
     with pytest.raises(ValueError):
         SchemeParams.create(2, 2, 4)  # composite field size
+    for n, k, q in [(2, 32, 2), (2, 2, 4294967311)]:  # L = 2^32; q a prime past 2^32
+        with pytest.raises(ValueError, match="^L and q must fit in 32 bits for the wire format$"):
+            SchemeParams.create(n, k, q)
+
+
+def test_params_derive_the_sizes_from_n_k_q():
+    p = SchemeParams(2, 3, 5)
+    assert p == SchemeParams.create(2, 3, 5)
+    assert hash(p) == hash(SchemeParams.create(2, 3, 5))
+    # the fields in declaration order, derived ones included
+    assert list(p.to_dict().items()) == [
+        ("N", 2), ("K", 3), ("q", 5), ("L", 8), ("rs_size", 7), ("ru_size", 1),
+    ]
+    assert dataclasses.replace(p, N=3) == SchemeParams.create(3, 3, 5)
+    assert dataclasses.replace(p, N=1).to_dict() == {
+        "N": 1, "K": 3, "q": 5, "L": 1, "rs_size": 3, "ru_size": 1,
+    }
+    with pytest.raises(TypeError):
+        SchemeParams(2, 3, 5, 8)
 
 
 def test_request_terms_helpers():

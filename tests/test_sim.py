@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from spircr import sim
 from spircr.fields import Seed, SeededStream
 from spircr.plan import SchemeParams
 from spircr.scheme import SpirRequest, select_query
@@ -122,12 +123,18 @@ def test_transcript_json_stable():
     assert list(doc["seeds"]) == sorted(doc["seeds"])
 
 
+def _answered(p, label, mutation=None):
+    """Query for message 1 from seeds(label), answered honestly: (query,
+    answers, user)."""
+    s = seeds(label)
+    state, user = deal(p, s.messages, s.pool, s.user)
+    query = select_query(p, 1, user.index, SeededStream(s.query), mutation)
+    return query, tuple(answer_query(query_columns(p, reqs), state) for reqs in query), user
+
+
 def test_decode_requires_matching_user_index():
     p = SchemeParams.create(1, 2, 5)
-    s = seeds("mismatch")
-    state, user = deal(p, s.messages, s.pool, s.user)
-    query = select_query(p, 1, user.index, SeededStream(s.query))
-    answers = tuple(answer_query(query_columns(p, reqs), state) for reqs in query)
+    query, answers, user = _answered(p, "mismatch")
     wrong = UserRandomness(index=(user.index % 2) + 1, value=user.value)
     with pytest.raises(DecodeError):
         decode(p, 1, query, answers, wrong)
@@ -135,12 +142,50 @@ def test_decode_requires_matching_user_index():
 
 def test_decode_detects_missing_companion():
     p = SchemeParams.create(2, 2, 5)
-    s = seeds("chop")
-    state, user = deal(p, s.messages, s.pool, s.user)
-    query = select_query(p, 1, user.index, SeededStream(s.query), mutation="bare-companion")
-    answers = tuple(answer_query(query_columns(p, reqs), state) for reqs in query)
+    query, answers, user = _answered(p, "chop", mutation="bare-companion")
     with pytest.raises(DecodeError):
         decode(p, 1, query, answers, user)
+
+
+def test_decode_refuses_answers_that_do_not_fit_the_query():
+    p = SchemeParams.create(2, 2, 5)
+    query, answers, user = _answered(p, "fit")
+    with pytest.raises(DecodeError, match="^answer/query database count mismatch$"):
+        decode(p, 1, query, answers[:1], user)
+    with pytest.raises(DecodeError, match="^db2: 2 answers for 3 requests$"):
+        decode(p, 1, query, (answers[0], answers[1][:2]), user)
+
+
+def test_decode_refuses_two_values_for_one_symbol():
+    # at (1,2) the first request is the desired 1-sum: send it twice, with
+    # answers one apart
+    p = SchemeParams.create(1, 2, 5)
+    ((first, *rest),), ((value, *others),), user = _answered(p, "twice")
+    query = ((first, first, *rest),)
+    answers = ((value, (value + 1) % p.q, *others),)
+    with pytest.raises(DecodeError, match=r"^conflicting values for W1\[1\]$"):
+        decode(p, 1, query, answers, user)
+
+
+def test_decode_refuses_a_query_without_a_desired_symbol():
+    p = SchemeParams.create(1, 2, 5)
+    query, answers, user = _answered(p, "missing")
+    with pytest.raises(DecodeError, match=r"^undecoded desired symbols: \[1\]$"):
+        decode(p, 1, (query[0][1:],), (answers[0][1:],), user)
+
+
+def test_run_retrieval_checks_the_decoded_message_against_the_store(monkeypatch):
+    # a database that adds 1 to its first answer, the desired 1-sum at
+    # (1,2): the decode goes through, and the check against the store fails
+    real = sim.answer_query
+
+    def off_by_one(columns, state):
+        first, *rest = real(columns, state)
+        return ((first + 1) % state.params.q, *rest)
+
+    monkeypatch.setattr(sim, "answer_query", off_by_one)
+    with pytest.raises(DecodeError, match="^decoded message differs from the stored message$"):
+        run_retrieval(SchemeParams.create(1, 2, 257), 1, seeds("off-by-one"))
 
 
 def test_build_transcript_rates():

@@ -1,4 +1,5 @@
 import random
+import socket
 import struct
 
 import pytest
@@ -23,6 +24,7 @@ from spircr.wire import (
     encode_error_payload,
     encode_frame,
     encode_query_payload,
+    read_frame,
 )
 
 
@@ -140,6 +142,40 @@ def test_error_payload_roundtrip():
     assert decode_error_payload(encode_error_payload(msg)) == msg
 
 
+@pytest.mark.parametrize("data,reason", [
+    (struct.pack(">II", 2, 0), "payload truncated"),
+    (encode_answer_payload((1, 2)) + b"\0", "1 trailing octets in payload"),
+    (struct.pack(">I", MAX_PAYLOAD // 4 + 1), f"implausible answer count {MAX_PAYLOAD // 4 + 1}"),
+], ids=["truncated", "trailing", "implausible-count"])
+def test_answer_payload_rejects_malformed(data, reason):
+    with pytest.raises(WireError, match=f"^{reason}$"):
+        decode_answer_payload(data, 257)
+
+
+def test_error_payload_must_be_utf8():
+    with pytest.raises(WireError, match="^error payload is not valid UTF-8$"):
+        decode_error_payload(b"\xff\xfe")
+
+
+def test_a_payload_past_the_maximum_is_not_encoded():
+    with pytest.raises(WireError, match=f"^payload of {MAX_PAYLOAD + 1} octets exceeds maximum$"):
+        encode_frame(Frame(FrameType.ANSWER, bytes(MAX_PAYLOAD + 1)))
+
+
+@pytest.mark.parametrize("cut,reason", [
+    (4, r"\(4 of 10 octets\)"),
+    (12, r"\(2 of 12 octets\)"),
+], ids=["in-header", "in-payload"])
+def test_read_frame_refuses_a_connection_closed_mid_frame(cut, reason):
+    frame = encode_frame(Frame(FrameType.ANSWER, encode_answer_payload((1, 2))))
+    ours, theirs = socket.socketpair()
+    with ours:
+        with theirs:
+            theirs.sendall(frame[:cut])
+        with pytest.raises(WireError, match=f"^connection closed mid-frame {reason}$"):
+            read_frame(ours)
+
+
 def test_decode_frame_rejects_garbage():
     with pytest.raises(WireError):
         decode_frame(b"NOPE" + bytes(6))
@@ -210,6 +246,13 @@ def test_query_payload_rejects_malformed():
         decode_query_payload(payload + b"\x00", p)  # trailing octets
     with pytest.raises(WireError):
         decode_query_payload(b"", p)
+    # cut inside the request count, right after it, and right before the
+    # second request's term count
+    count_end = struct.calcsize(">HHII") + 4
+    second = count_end + 2 + 6 * len(query[0][0].terms) + 4
+    for cut in (count_end - 2, count_end, second):
+        with pytest.raises(WireError, match="^payload truncated$"):
+            decode_query_payload(payload[:cut], p)
 
 
 def test_query_payload_rejects_noncanonical_order():
