@@ -14,8 +14,8 @@ that cannot apply to the instance included).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -232,26 +232,6 @@ def _parse_triple(parser, text: str) -> RateTriple:
         raise AssertionError
 
 
-def _too_long_to_print(*values) -> bool:
-    """True if a numerator or denominator in values, or in the dataclasses,
-    lists and tuples they hold, has more digits than str() of an int may
-    give: sys.get_int_max_str_digits(), absent before Python 3.10.7."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        return False
-    cap, stack = 10**limit, list(values)
-    while stack:
-        v = stack.pop()
-        if isinstance(v, Fraction):
-            if abs(v.numerator) >= cap or v.denominator >= cap:
-                return True
-        elif dataclasses.is_dataclass(v):
-            stack += [getattr(v, f.name) for f in dataclasses.fields(v)]
-        elif isinstance(v, (list, tuple)):
-            stack += v
-    return False
-
-
 def _region_too_long(n: int, k: int) -> int:
     return _usage_error(
         f"the ({n},{k}) region has numbers of more than {sys.get_int_max_str_digits()} "
@@ -263,66 +243,72 @@ def cmd_region(parser, args) -> int:
     n, k = args.n, args.k
     if n < 1 or k < 2:
         parser.error("need --n >= 1 and --k >= 2")
-    if args.format == "csv":
-        if args.steps < 1:
-            parser.error("--steps must be at least 1")
-        rows = boundary_rows(n, k, args.steps)
-        if _too_long_to_print(rows):
-            return _region_too_long(n, k)
-        print("rho_u,d_min,rho_s_min")
-        for ru, d, rs in rows:
-            print(f"{ru},{d},{rs}")
-        return 0
-
-    corner = corner_point(n, k)
-    base = baselines(n, k)
-    rates = scheme_rates(n, k)
-    classical = classical_point(n, k) if n >= 2 else None
-    verdict = plan = None
-    if args.target:
-        verdict = check_region(n, k, _parse_triple(parser, args.target))
-        if n >= 2:
-            plan = time_share_plan(n, k, verdict.point)
-    if _too_long_to_print(corner, base, rates, classical, verdict, plan):
+    as_csv = args.format == "csv"
+    if as_csv and args.steps < 1:
+        parser.error("--steps must be at least 1")
+    target = _parse_triple(parser, args.target) if args.target and not as_csv else None
+    # every format prints rho_u = 1/N^K, with floor(K log10 N) + 1 digits;
+    # refuse at once where that is surely past the limit, before any rate is built
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and n >= 2 and k * math.log10(n) >= limit + 1:
         return _region_too_long(n, k)
 
-    if args.format == "json":
-        out: dict = {
-            "n_db": n,
-            "n_msg": k,
-            "corner": corner.as_strings(),
-            "scheme": rates.as_strings(),
-            "baselines": base.to_dict(),
-        }
-        if classical is not None:
-            out["classical"] = classical.as_strings()
-        if verdict is not None:
-            out["target"] = verdict.to_dict()
-            if n >= 2:
-                out["time_share"] = None if plan is None else plan.to_dict()
-        print(json.dumps(out, indent=2))
+    verdict = plan = None
+    if as_csv:
+        rows = boundary_rows(n, k, args.steps)
     else:
-        print(f"databases: {n}  messages: {k}")
-        print(f"corner point        d={corner.d}  rho_s={corner.rho_s}  rho_u={corner.rho_u}")
-        print(f"scheme as built     d={rates.d}  rho_s={rates.rho_s}  rho_u={rates.rho_u}")
-        if classical is not None:
-            print(f"classical point     d={classical.d}  rho_s={classical.rho_s}  rho_u={classical.rho_u}")
-        print(
-            f"capacities          plain={base.c_pir}  symmetric={base.c_spir}"
-        )
-        if verdict is not None:
-            print(f"target {args.target}: {'inside' if verdict.inside else 'outside'}")
-            for c in verdict.checks:
-                print(f"  {c.line()}")
+        corner = corner_point(n, k)
+        base = baselines(n, k)
+        rates = scheme_rates(n, k)
+        classical = classical_point(n, k) if n >= 2 else None
+        if target is not None:
+            verdict = check_region(n, k, target)
             if n >= 2:
-                if plan is None:
-                    print("  no time-share decomposition (outside region)")
-                else:
-                    print(
+                plan = time_share_plan(n, k, target)
+
+    try:
+        if as_csv:
+            lines = ["rho_u,d_min,rho_s_min", *(f"{ru},{d},{rs}" for ru, d, rs in rows)]
+        elif args.format == "json":
+            out: dict = {
+                "n_db": n,
+                "n_msg": k,
+                "corner": corner.as_strings(),
+                "scheme": rates.as_strings(),
+                "baselines": base.to_dict(),
+            }
+            if classical is not None:
+                out["classical"] = classical.as_strings()
+            if verdict is not None:
+                out["target"] = verdict.to_dict()
+                if n >= 2:
+                    out["time_share"] = None if plan is None else plan.to_dict()
+            lines = [json.dumps(out, indent=2)]
+        else:
+            lines = [
+                f"databases: {n}  messages: {k}",
+                f"corner point        d={corner.d}  rho_s={corner.rho_s}  rho_u={corner.rho_u}",
+                f"scheme as built     d={rates.d}  rho_s={rates.rho_s}  rho_u={rates.rho_u}",
+            ]
+            if classical is not None:
+                lines.append(
+                    f"classical point     d={classical.d}  rho_s={classical.rho_s}  rho_u={classical.rho_u}"
+                )
+            lines.append(f"capacities          plain={base.c_pir}  symmetric={base.c_spir}")
+            if verdict is not None:
+                lines.append(f"target {args.target}: {'inside' if verdict.inside else 'outside'}")
+                lines += [f"  {c.line()}" for c in verdict.checks]
+                if n >= 2 and plan is None:
+                    lines.append("  no time-share decomposition (outside region)")
+                elif n >= 2:
+                    lines.append(
                         f"  time share: weight {plan.weight_corner} on corner, "
                         f"padding d={plan.padding.d} rho_s={plan.padding.rho_s} "
                         f"rho_u={plan.padding.rho_u}"
                     )
+    except ValueError:  # str() of an integer past sys.get_int_max_str_digits()
+        return _region_too_long(n, k)
+    print("\n".join(lines))
     return 0 if verdict is None or verdict.inside else 1
 
 

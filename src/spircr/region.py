@@ -15,8 +15,10 @@ from .scheme import RateTriple
 
 
 def geometric_sum(n_db: int, terms: int) -> Fraction:
-    """1 + 1/N + ... + 1/N^(terms-1)."""
-    return sum((Fraction(1, n_db**i) for i in range(terms)), Fraction(0))
+    """1 + 1/N + ... + 1/N^(terms-1), in closed form; terms >= 1."""
+    if n_db == 1:
+        return Fraction(terms)
+    return Fraction(n_db**terms - 1, (n_db - 1) * n_db ** (terms - 1))
 
 
 def tail_sum(n_db: int, n_msg: int) -> Fraction:
@@ -221,10 +223,11 @@ def boundary_rows(n_db: int, n_msg: int, steps: int = 8) -> list[tuple[Fraction,
         return [(Fraction(1), Fraction(n_msg), Fraction(n_msg))]
     n = Fraction(n_db)
     ru_star = Fraction(1, n_db**n_msg)
+    d_pir, tail = geometric_sum(n_db, n_msg), tail_sum(n_db, n_msg)
     rows = []
     for i in range(steps + 1):
         ru = ru_star * Fraction(i, steps)
-        d_min = max(geometric_sum(n_db, n_msg), (1 - ru) * n / (n - 1))
-        rs_min = max(ru + tail_sum(n_db, n_msg), (1 - ru) / (n - 1))
+        d_min = max(d_pir, (1 - ru) * n / (n - 1))
+        rs_min = max(ru + tail, (1 - ru) / (n - 1))
         rows.append((ru, d_min, rs_min))
     return rows

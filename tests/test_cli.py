@@ -5,10 +5,12 @@ import shlex
 import socket
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from spircr import cli
 from spircr.cli import main
 from spircr.net import load_database_state, serve_database
 from spircr.region import corner_point
@@ -277,6 +279,41 @@ def test_region_just_inside_the_int_digit_limit_prints(capsys, fmt, steps):
                          "--steps", steps)
     assert (code, err) == (0, "")
     assert f"1/1{'0' * (limit - 1)}" in out  # rho_u = 1/N^K, limit digits
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_region_far_past_the_int_digit_limit_is_refused_before_any_rate(capsys, monkeypatch, fmt):
+    limit = _int_digit_limit()
+
+    def never(*args):
+        raise AssertionError("built a rate of a region refused at once")
+
+    for name in ("corner_point", "baselines", "boundary_rows", "scheme_rates"):
+        monkeypatch.setattr(cli, name, never)
+    code, out, err = run(capsys, "region", "--n", "10", "--k", str(10**6), "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"the (10,1000000) region has numbers of more than {limit} digits, "
+        "past this interpreter's limit for printing an integer\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_region_target_whose_derived_numbers_pass_the_int_digit_limit(capsys, fmt):
+    if _int_digit_limit() != 4300:
+        pytest.skip("the target is sized for the default limit of 4300 digits")
+    # each number given has at most 4142 digits, but rho_s - rho_u and the
+    # tradeoff sums have denominators of 7775 digits
+    d = 2 + Fraction(1, 7**4900)
+    rho_s = 1 + Fraction(1, 11**3800)
+    rho_u = Fraction(1, 4 * 3**8000)
+    code, out, err = run(capsys, "region", "--n", "2", "--k", "2", "--format", fmt,
+                         "--target", f"{d},{rho_s},{rho_u}")
+    assert (code, out) == (2, "")
+    assert err == (
+        "the (2,2) region has numbers of more than 4300 digits, "
+        "past this interpreter's limit for printing an integer\n"
+    )
 
 
 def test_region_single_db(capsys):

@@ -31,6 +31,11 @@ def test_geometric_sums():
     assert tail_sum(3, 3) == Fraction(4, 9)
 
 
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 8) for k in range(1, 13)] + [(3, 400)])
+def test_geometric_sum_closed_form_equals_the_term_by_term_sum(n, k):
+    assert geometric_sum(n, k) == sum((Fraction(1, n**i) for i in range(k)), Fraction(0))
+
+
 @pytest.mark.parametrize("n,k,expected", [
     (1, 3, ("3", "3", "1")),
     (2, 2, ("3/2", "3/4", "1/4")),
