@@ -9,7 +9,7 @@ Subcommands:
   serve      serve one database over TCP from a provisioned state file
 
 Exit codes: 0 success, 1 failed audit or failed retrieval, 2 usage (a fault
-that cannot apply to the instance included).
+that cannot apply to the instance included), 130 interrupted (Ctrl-C).
 """
 from __future__ import annotations
 
@@ -373,6 +373,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](parser, args)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     except BrokenPipeError:
         # reader (e.g. head) closed the pipe; not an error of ours
         try:

@@ -385,6 +385,14 @@ def test_package_import_does_not_load_openssl():
     assert out.strip() == "False"
 
 
+def test_ctrl_c_ends_a_command_with_one_line_and_exit_130(capsys, monkeypatch):
+    def interrupted(parser, args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._COMMANDS, "audit", interrupted)
+    assert run(capsys, "audit", "--n", "1", "--k", "2") == (130, "", "interrupted\n")
+
+
 def test_region_csv_zero_steps_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["region", "--n", "2", "--k", "2", "--format", "csv", "--steps", "0"])
