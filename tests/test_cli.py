@@ -390,7 +390,11 @@ def test_ctrl_c_ends_a_command_with_one_line_and_exit_130(capsys, monkeypatch):
         raise KeyboardInterrupt
 
     monkeypatch.setitem(cli._COMMANDS, "audit", interrupted)
-    assert run(capsys, "audit", "--n", "1", "--k", "2") == (130, "", "interrupted\n")
+    try:
+        result = run(capsys, "audit", "--n", "1", "--k", "2")
+    except KeyboardInterrupt:  # uncaught, it would end the whole test session
+        pytest.fail("main let KeyboardInterrupt through")
+    assert result == (130, "", "interrupted\n")
 
 
 def test_region_csv_zero_steps_is_usage_error(capsys):
