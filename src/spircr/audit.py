@@ -375,6 +375,15 @@ def _table_columns(params: SchemeParams, table: QueryTable) -> list[list[int]]:
     return [request_columns(params, sr) for db_reqs in table for sr in db_reqs]
 
 
+@functools.lru_cache(maxsize=256)
+def _representative(
+    params: SchemeParams, desired: int, mutation: Mutation | None
+) -> tuple[QueryTable, list[list[int]]]:
+    """T_k and its requests' columns, derived once for the three rank audits."""
+    table = canonical_table(params, desired, mutation)
+    return table, _table_columns(params, table)
+
+
 def _row(plus: list[int], minus: list[int], q: int) -> dict[int, int]:
     """The nonzero coefficients mod q of the sum of X at the plus columns
     minus the sum at the minus ones, each counted with multiplicity."""
@@ -440,22 +449,31 @@ def misdecoded_symbols(
     test_rank_audits_match_brute_force ties the model to sim.decode.
     Raises DecodeError wherever sim.decode_plan does.
     """
-    requests = [sr for db_reqs in table for sr in db_reqs]
-    shared: dict[int, list[int]] = {}  # companion -> its columns; one step reads each source
+    return _misdecoded(params, desired, seed, table, _table_columns(params, table))
+
+
+def _misdecoded(
+    params: SchemeParams, desired: int, seed: int, table: QueryTable, columns: list[list[int]]
+) -> list[int]:
+    """misdecoded_symbols, given the table's _table_columns."""
     wrong = []
     for sym, source, companion in decode_plan(params, desired, table, seed):
-        if companion is not None and companion not in shared:
-            shared[companion] = request_columns(params, requests[companion])
-        sub = [pool_column(params, seed)] if companion is None else shared[companion]
-        sub = sub + [message_column(params, desired, sym)]
-        if _row(request_columns(params, requests[source]), sub, params.q):
+        sub = [pool_column(params, seed)] if companion is None else columns[companion]
+        if _row(columns[source], sub + [message_column(params, desired, sym)], params.q):
             wrong.append(sym)
     return wrong
 
 
 def database_privacy_leak(params: SchemeParams, desired: int, seed: int, table: QueryTable) -> int:
     """I(answers, S_seed; undesired message symbols | T) in q-ary units."""
-    view = _table_columns(params, table) + [[pool_column(params, seed)]]
+    return _database_privacy(params, desired, seed, _table_columns(params, table))
+
+
+def _database_privacy(
+    params: SchemeParams, desired: int, seed: int, columns: list[list[int]]
+) -> int:
+    """database_privacy_leak, given the table's _table_columns."""
+    view = columns + [[pool_column(params, seed)]]
     target = {
         message_column(params, m, s)
         for m in range(1, params.K + 1)
@@ -467,8 +485,15 @@ def database_privacy_leak(params: SchemeParams, desired: int, seed: int, table: 
 
 def cr_difference_leak(params: SchemeParams, desired: int, seed: int, table: QueryTable) -> int:
     """I(answers, S_seed, W_desired; pool symbols other than S_seed | T)."""
+    return _cr_difference(params, desired, seed, _table_columns(params, table))
+
+
+def _cr_difference(
+    params: SchemeParams, desired: int, seed: int, columns: list[list[int]]
+) -> int:
+    """cr_difference_leak, given the table's _table_columns."""
     view = (
-        _table_columns(params, table)
+        columns
         + [[pool_column(params, seed)]]
         + [[message_column(params, desired, s)] for s in range(1, params.L + 1)]
     )
@@ -480,9 +505,9 @@ def reliability_audit(params: SchemeParams, mutation: Mutation | None = None) ->
     """Decode must return the stored desired message on every joint outcome."""
     name = "reliability"
     for desired in range(1, params.K + 1):
-        table = canonical_table(params, desired, mutation)
+        table, columns = _representative(params, desired, mutation)
         try:
-            wrong = misdecoded_symbols(params, desired, 1, table)
+            wrong = _misdecoded(params, desired, 1, table, columns)
         except DecodeError as e:
             value = f"desired W{desired}: structurally undecodable ({e})"
         else:
@@ -501,8 +526,8 @@ def reliability_audit(params: SchemeParams, mutation: Mutation | None = None) ->
 
 def _leak_audit(params: SchemeParams, mutation: Mutation | None, name: str, leak) -> AuditReport:
     for desired in range(1, params.K + 1):
-        table = canonical_table(params, desired, mutation)
-        units = leak(params, desired, 1, table)
+        table, columns = _representative(params, desired, mutation)
+        units = leak(params, desired, 1, columns)
         if units:
             return AuditReport(
                 name,
@@ -525,13 +550,13 @@ def database_privacy_audit(
     View = (query table, answers, user pool entry); target = every message
     symbol outside the desired message.
     """
-    return _leak_audit(params, mutation, "database-privacy", database_privacy_leak)
+    return _leak_audit(params, mutation, "database-privacy", _database_privacy)
 
 
 def cr_difference_audit(params: SchemeParams, mutation: Mutation | None = None) -> AuditReport:
     """View plus the decoded message must reveal nothing about the rest of
     the pool (the shared-randomness symbols the user does not hold)."""
-    return _leak_audit(params, mutation, "cr-difference", cr_difference_leak)
+    return _leak_audit(params, mutation, "cr-difference", _cr_difference)
 
 
 def run_all_audits(params: SchemeParams, mutation: Mutation | None = None) -> list[AuditReport]:

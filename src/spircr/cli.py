@@ -239,6 +239,11 @@ def _region_too_long(n: int, k: int) -> int:
     )
 
 
+# Each csv row costs about 20 us and every row is held until the output is
+# whole, so the ceiling keeps `region --format csv` to a few seconds.
+_MAX_REGION_STEPS = 100_000
+
+
 def cmd_region(parser, args) -> int:
     n, k = args.n, args.k
     if n < 1 or k < 2:
@@ -246,6 +251,8 @@ def cmd_region(parser, args) -> int:
     as_csv = args.format == "csv"
     if as_csv and args.steps < 1:
         parser.error("--steps must be at least 1")
+    if as_csv and args.steps > _MAX_REGION_STEPS:
+        parser.error(f"--steps must be at most {_MAX_REGION_STEPS}")
     target = _parse_triple(parser, args.target) if args.target and not as_csv else None
     # every format prints rho_u = 1/N^K, with floor(K log10 N) + 1 digits;
     # refuse at once where that is surely past the limit, before any rate is built

@@ -9,7 +9,8 @@ become recoverable by subtraction.
 
 A plan request is its terms, ((message, symbol), ...) with both indices
 1-based and messages strictly increasing: the formal sum of those single
-symbols. The scheme layer adds the pool index that masks it.
+symbols. plan_layout creates each request with the pool index the scheme
+layer masks it with, so that one pass builds the canonical table T_k.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import functools
 import itertools
 from dataclasses import asdict, dataclass, field
 
-from .fields import DrawStream, Permutation, identity_permutation, is_prime, sample_permutation
+from .fields import DrawStream, Permutation, is_prime, sample_permutation
 
 
 def message_length(n_db: int, n_msg: int) -> int:
@@ -93,16 +94,12 @@ def messages(terms: Terms) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class PirPlan:
     """Per-database request lists for one desired message, each in
-    canonical order."""
+    canonical order: by sum size, then message indices, then symbol
+    indices."""
 
     params: SchemeParams
     desired: int
     per_db: tuple[tuple[Terms, ...], ...]
-
-
-def request_sort_key(terms: Terms):
-    # Canonical order: by sum size, then message indices, then symbol indices.
-    return (len(terms), terms)
 
 
 def _check_desired(params: SchemeParams, desired: int) -> None:
@@ -124,52 +121,77 @@ def build_pir_plan(params: SchemeParams, desired: int, rng: DrawStream) -> PirPl
 def plan_with_perms(
     params: SchemeParams, desired: int, perms: tuple[Permutation, ...]
 ) -> PirPlan:
-    """Deterministic plan layout for fixed per-message symbol orderings."""
+    """Deterministic plan layout for fixed per-message symbol orderings:
+    plan_layout's requests in canonical order, without their pool indices."""
+    per_db = plan_layout(params, desired, perms)
+    ordered = tuple(tuple([terms for _, terms, _ in sorted(reqs)]) for reqs in per_db)
+    return PirPlan(params=params, desired=desired, per_db=ordered)
+
+
+def plan_layout(
+    params: SchemeParams, desired: int, perms: tuple[Permutation, ...]
+) -> list[list[tuple[int, Terms, int]]]:
+    """Every request of the plan with the pool index that masks it, one
+    list per database in creation order, each as (size, terms, index): a
+    list sorts into canonical order.
+
+    Round t = 1..K lays out the t-sums (at N = 1 round 1 alone: later
+    rounds would need (N-1)^(t-1) = 0 undesired-only sums and a companion
+    at another database). In each round the databases go in turn, and at
+    each one the t-subsets of the messages go by cyclic subset rank. A
+    subset without the desired message gets (N-1)^(t-1) undesired-only
+    sums, each of the next symbol of every message in it; a subset with it
+    gets the desired 1-sum (t = 1) or, for each undesired-only sum of the
+    rest at every other database in cyclic order, that sum plus the next
+    desired symbol. Each message's symbols are taken in the order perms
+    gives.
+
+    The index is the one the masking layer gives (scheme module
+    docstring): 1 on a desired 1-sum, the companion's on a larger desired
+    sum, and on each undesired-only sum the next fresh index 2, 3, ... as
+    it is created. Under identity orderings that creation order is
+    scheme.fresh_masks' slot order (size, database, cyclic subset rank,
+    terms): rounds go by size, then database, then rank, and the sums over
+    one subset at one database take each message's next symbols, so their
+    terms increase. So with identity orderings these are T_k's indices.
+    """
     _check_desired(params, desired)
     n_db, n_msg = params.N, params.K
-    next_pos = [0] * n_msg
-
-    def take(message: int) -> int:
-        p = perms[message - 1][next_pos[message - 1]]
-        next_pos[message - 1] += 1
-        return p + 1
-
-    per_db: list[list[Terms]] = [[] for _ in range(n_db)]
-    # Undesired-only sums by (database, message subset), in creation order;
+    symbols = [iter(perm) for perm in perms]  # each message's symbols, 0-based, in order of use
+    per_db: list[list[tuple[int, Terms, int]]] = [[] for _ in range(n_db)]
+    # Undesired-only sums with their indices by (database, message subset);
     # round t reuses each one of round t - 1 once at every other database.
-    side: dict[tuple[int, tuple[int, ...]], list[Terms]] = {}
-
-    # At N = 1 later rounds would need (N-1)^(t-1) = 0 undesired-only sums
-    # and a companion at another database, so round 1 is the whole plan.
-    rounds = n_msg if n_db > 1 else 1
-    for t in range(1, rounds + 1):
+    side: dict[tuple[int, tuple[int, ...]], list[tuple[Terms, int]]] = {}
+    fresh = 2
+    for t in range(1, (n_msg if n_db > 1 else 1) + 1):
         subsets = _ranked_subsets(n_msg, desired, t)
         for db in range(1, n_db + 1):
+            out = per_db[db - 1]
             for subset in subsets:
                 if desired not in subset:
-                    count = (n_db - 1) ** (t - 1)
-                    side[db, subset] = [tuple([(m, take(m)) for m in subset]) for _ in range(count)]
-                    per_db[db - 1] += side[db, subset]
+                    made = side[db, subset] = []
+                    for _ in range((n_db - 1) ** (t - 1)):
+                        terms = tuple([(m, next(symbols[m - 1]) + 1) for m in subset])
+                        made.append((terms, fresh))
+                        out.append((t, terms, fresh))
+                        fresh += 1
                 elif t == 1:
-                    per_db[db - 1].append(((desired, take(desired)),))
+                    out.append((1, ((desired, next(symbols[desired - 1]) + 1),), 1))
                 else:
-                    rest = tuple(m for m in subset if m != desired)
+                    rest = tuple([m for m in subset if m != desired])
                     for other in _cyclic_others(db, n_db):
-                        for comp in side[other, rest]:
-                            per_db[db - 1].append(tuple(sorted(comp + ((desired, take(desired)),))))
-
-    ordered = tuple(tuple(sorted(reqs, key=request_sort_key)) for reqs in per_db)
-    return PirPlan(params=params, desired=desired, per_db=ordered)
+                        for comp, index in side[other, rest]:
+                            own = (desired, next(symbols[desired - 1]) + 1)
+                            out.append((t, tuple(sorted(comp + (own,))), index))
+    return per_db
 
 
 def _ranked_subsets(n_msg: int, desired: int, t: int) -> list[tuple[int, ...]]:
     """Every t-subset of the messages, ordered by cyclic subset rank (see
-    scheme.fresh_masks): the combinations of cyclic offsets from the desired
-    index come out in that order already."""
-    return [
-        tuple(sorted([(desired - 1 + o) % n_msg + 1 for o in offsets]))
-        for offsets in itertools.combinations(range(n_msg), t)
-    ]
+    scheme.fresh_masks): the combinations of the messages listed cyclically
+    from the desired index come out in that order already."""
+    cyclic = [(desired - 1 + o) % n_msg + 1 for o in range(n_msg)]
+    return [tuple(sorted(c)) for c in itertools.combinations(cyclic, t)]
 
 
 def _cyclic_others(db: int, n_db: int) -> list[int]:
@@ -211,9 +233,3 @@ def format_terms(terms: Terms, length: int | None = None) -> str:
         else:
             parts.append(f"W{m}[{s}]")
     return "+".join(parts)
-
-
-def identity_plan(params: SchemeParams, desired: int) -> PirPlan:
-    """Plan with identity symbol orderings; used for display and fixtures."""
-    perms = (identity_permutation(params.L),) * params.K
-    return plan_with_perms(params, desired, perms)

@@ -21,6 +21,12 @@ by a uniform ordering, and the pool indices by a uniform bijection that
 carries the seed to the user's index (at N >= 2; at N = 1 by the cyclic
 shift alone). That relabeling is what makes the per-database query
 distribution independent of which message is desired.
+
+T_k is built in one pass: plan.plan_layout gives each request its pool
+index as it creates it, the fresh indices in creation order, which under
+identity orderings is fresh_masks' slot order (plan_layout says why).
+assign_common_randomness masks a finished plan by searching it; it is the
+oracle the one-pass build is tested against.
 """
 from __future__ import annotations
 
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
-from .fields import DrawStream, Permutation, sample_permutation
+from .fields import DrawStream, Permutation, identity_permutation, sample_permutation
 from .plan import (
     PirPlan,
     SchemeParams,
@@ -39,9 +45,9 @@ from .plan import (
     build_pir_plan,  # noqa: F401  perfbench/tracing.py wraps scheme.build_pir_plan
     cr_pool_size,
     format_terms,
-    identity_plan,
     message_length,
     messages,
+    plan_layout,
     sample_orderings,
     total_download,
 )
@@ -135,15 +141,22 @@ def assign_common_randomness(plan: PirPlan, params: SchemeParams) -> QueryTable:
 
 @functools.lru_cache(maxsize=256)
 def _honest_table(params: SchemeParams, desired: int) -> QueryTable:
-    return assign_common_randomness(identity_plan(params, desired), params)
+    # plan_layout's indices under identity orderings are assign_common_randomness'
+    per_db = plan_layout(params, desired, (identity_permutation(params.L),) * params.K)
+    return tuple(
+        tuple([SpirRequest(terms, index) for _, terms, index in sorted(reqs)]) for reqs in per_db
+    )
 
 
 def canonical_table(
     params: SchemeParams, desired: int, mutation: Mutation | None = None
 ) -> QueryTable:
     """T_k: the seed-1 table of the identity plan for desired index k, with
-    the mutation, if any, applied at seed 1. The plan is masked once per
-    (params, k), whatever the mutation."""
+    the mutation, if any, applied at seed 1. It is built once per
+    (params, k), whatever the mutation, in one pass: plan_layout creates
+    each request with its pool index, and each database's requests are put
+    in canonical order. It equals assign_common_randomness on the identity
+    plan, with no search over the finished plan."""
     table = _honest_table(params, desired)
     return table if mutation is None else apply_mutation(table, desired, mutation)
 
@@ -162,7 +175,7 @@ def relabel(
     rename = (lambda t: t) if symbols is None else functools.partial(_relabel_terms, symbols)
     out = []
     for db_reqs in table:
-        # request_sort_key, then the position in db_reqs so no two keys tie
+        # canonical order, then the position in db_reqs so no two keys tie
         keyed = sorted((len(sr.terms), rename(sr.terms), i, sr.cr) for i, sr in enumerate(db_reqs))
         reqs = [SpirRequest(terms, None if cr is None else pool[cr]) for _, terms, _, cr in keyed]
         out.append(tuple(reqs))

@@ -54,15 +54,17 @@ def request_columns(params: SchemeParams, sr: SpirRequest) -> list[int]:
     so an answer is the sum of X at these columns and, over F_q, a 0/1 row
     with ones at them.
     """
+    n_msg, length = params.K, params.L
+    offset, pool_base = column_bases(params)
     cols = []
     for m, s in sr.terms:
-        if not (1 <= m <= params.K and 1 <= s <= params.L):
+        if not (1 <= m <= n_msg and 1 <= s <= length):
             raise SimError(f"request term W{m}[{s}] out of range")
-        cols.append(message_column(params, m, s))
+        cols.append(m * length + s + offset)
     if sr.cr is not None:
         if not 1 <= sr.cr <= params.rs_size:
             raise SimError(f"mask index {sr.cr} outside [1, {params.rs_size}]")
-        cols.append(pool_column(params, sr.cr))
+        cols.append(pool_base + sr.cr)
     return cols
 
 

@@ -9,14 +9,21 @@ with the one check of a fault-injected query against its honest twin.
 """
 from __future__ import annotations
 
+from spircr.fields import identity_permutation
 from spircr.plan import (
     PirPlan,
     SchemeParams,
     Terms,
     format_terms,
     messages,
+    plan_with_perms,
     subset_count_problems,
 )
+
+
+def identity_plan(params: SchemeParams, desired: int) -> PirPlan:
+    """The plan with identity symbol orderings: the plan of T_k."""
+    return plan_with_perms(params, desired, (identity_permutation(params.L),) * params.K)
 
 
 def subset_rank(subset: tuple[int, ...], desired: int, n_msg: int) -> tuple[int, ...]:

@@ -24,7 +24,7 @@ from spircr.audit import (
     user_privacy_audit,
 )
 from spircr.fields import Seed, SeededStream
-from spircr.plan import SchemeParams, plan_with_perms, request_sort_key
+from spircr.plan import SchemeParams, plan_with_perms
 from spircr.scheme import (
     MUTATIONS,
     SchemeError,
@@ -453,7 +453,7 @@ def _relabel(table, sigma, tau):
                 )
                 for sr in db_reqs
             ),
-            key=lambda sr: request_sort_key(sr.terms),
+            key=lambda sr: (len(sr.terms), sr.terms),  # canonical order
         ))
         for db_reqs in table
     )
@@ -517,20 +517,40 @@ def test_each_canonical_plan_is_masked_once(monkeypatch):
     # canonical_table is called
     p = SchemeParams.create(2, 2, 2)
     built = []
-    real = scheme.assign_common_randomness
+    real = scheme.plan_layout
 
-    def counted(plan, params):
-        built.append(plan.desired)
-        return real(plan, params)
+    def counted(params, desired, perms):
+        built.append(desired)
+        return real(params, desired, perms)
 
-    monkeypatch.setattr(scheme, "assign_common_randomness", counted)
+    monkeypatch.setattr(scheme, "plan_layout", counted)
     scheme._honest_table.cache_clear()
+    audit._representative.cache_clear()
     run_all_audits(p)
     run_all_audits(p, "unmask-one")
     for desired in range(1, p.K + 1):
         select_query(p, desired, 1, SeededStream(Seed.from_text(f"once-{desired}")))
         select_query(p, desired, 2, SeededStream(Seed.from_text(f"once-{desired}")), "seed-reuse")
     assert sorted(built) == list(range(1, p.K + 1))
+
+
+@pytest.mark.parametrize("n,k", [(1, 8), (2, 3)])
+def test_the_audits_derive_each_request_s_columns_once(n, k, monkeypatch):
+    # reliability and both leak audits read one set of columns per T_k
+    p = SchemeParams.create(n, k, 2)
+    derived = []
+    real = audit.request_columns
+
+    def counted(params, sr):
+        derived.append(sr)
+        return real(params, sr)
+
+    monkeypatch.setattr(audit, "request_columns", counted)
+    audit._representative.cache_clear()
+    assert all(r.passed for r in run_all_audits(p))
+    # each database of T_k sends one request per pool index
+    assert len(derived) == k * p.N * p.rs_size
+    assert derived == [sr for d in range(1, k + 1) for reqs in canonical_table(p, d) for sr in reqs]
 
 
 def _rank_values(p, desired, seed, table):

@@ -12,9 +12,9 @@ import random
 import pytest
 
 from _gf import rref
-from _plan_oracle import subset_rank
+from _plan_oracle import identity_plan, subset_rank
 from spircr.audit import _leak, orbit_key
-from spircr.plan import PirPlan, SchemeParams, identity_plan, messages
+from spircr.plan import PirPlan, SchemeParams, messages
 from spircr.scheme import (
     MUTATIONS,
     SchemeError,

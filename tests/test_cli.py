@@ -403,6 +403,28 @@ def test_region_csv_zero_steps_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_region_csv_steps_past_the_ceiling_is_refused_before_any_row(capsys, monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("boundary_rows ran")
+
+    monkeypatch.setattr(cli, "boundary_rows", unbuilt)
+    for steps in ("100001", "1000000", str(10**30)):
+        with pytest.raises(SystemExit) as exc:
+            main(["region", "--n", "2", "--k", "2", "--format", "csv", "--steps", steps])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith("error: --steps must be at most 100000")
+
+
+def test_region_csv_steps_at_the_ceiling_are_sampled(capsys, monkeypatch):
+    asked = []
+    monkeypatch.setattr(cli, "boundary_rows", lambda n, k, steps: asked.append(steps) or [])
+    code, out, _ = run(capsys, "region", "--n", "2", "--k", "2", "--format", "csv",
+                       "--steps", "100000")
+    assert (code, out, asked) == (0, "rho_u,d_min,rho_s_min\n", [100000])
+
+
 def _one_line_failure(capsys, argv, prefix):
     code, out, err = run(capsys, *argv)
     assert code == 1

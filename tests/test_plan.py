@@ -11,7 +11,6 @@ from spircr.plan import (
     SchemeParams,
     build_pir_plan,
     cr_pool_size,
-    identity_plan,
     message_length,
     messages,
     total_download,
@@ -20,7 +19,7 @@ from spircr.plan import (
 from spircr.scheme import assign_common_randomness, table_lines
 
 from _gf import in_span
-from _plan_oracle import all_requests, subset_rank, symbol_of, validate_pir_plan
+from _plan_oracle import all_requests, identity_plan, subset_rank, symbol_of, validate_pir_plan
 
 GRID = [(n, k) for n in (1, 2, 3) for k in (2, 3, 4)]
 

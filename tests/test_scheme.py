@@ -5,7 +5,7 @@ import pytest
 
 import spircr
 from spircr.fields import Seed, SeededStream
-from spircr.plan import PirPlan, SchemeParams, build_pir_plan, identity_plan, messages
+from spircr.plan import PirPlan, SchemeParams, build_pir_plan, messages
 from spircr.scheme import (
     MUTATIONS,
     SchemeError,
@@ -13,6 +13,7 @@ from spircr.scheme import (
     apply_mutation,
     assign_common_randomness,
     canonical_family,
+    canonical_table,
     family_json,
     measured_rates,
     permute_nonseed,
@@ -25,7 +26,7 @@ from spircr.scheme import (
 from spircr.sim import DecodeError, decode_plan
 
 from _gf import rref
-from _plan_oracle import assert_one_fault, validate_pir_plan
+from _plan_oracle import assert_one_fault, identity_plan, validate_pir_plan
 
 GRID = [(n, k) for n in (1, 2, 3) for k in (2, 3)]
 
@@ -168,6 +169,38 @@ def test_select_query_determinism():
     p = SchemeParams.create(2, 3, 2)
     assert select_query(p, 2, 4, stream("det")) == select_query(p, 2, 4, stream("det"))
     assert select_query(p, 2, 4, stream("det")) != select_query(p, 2, 4, stream("det2"))
+
+
+ORACLE_SHAPES = [
+    (n, k)
+    for n in range(1, 6)
+    for k in range(2, 9)
+    if k * n**k <= 20000  # L * K
+]
+
+
+@pytest.mark.parametrize("n,k", ORACLE_SHAPES)
+def test_the_one_pass_table_is_the_masked_identity_plan(n, k):
+    # T_k, built with its pool indices in one pass, against masking the
+    # finished identity plan by search; honest and under every fault
+    p = SchemeParams.create(n, k, 2)
+    for desired in range(1, k + 1):
+        want = assign_common_randomness(identity_plan(p, desired), p)
+        assert canonical_table(p, desired) == want
+        for mutation in MUTATIONS:
+            try:
+                faulty = apply_mutation(want, desired, mutation)
+            except SchemeError:  # bare-companion needs a larger sum, which N = 1 lacks
+                assert (n, mutation) == (1, "bare-companion")
+                with pytest.raises(SchemeError):
+                    canonical_table(p, desired, mutation)
+                continue
+            assert canonical_table(p, desired, mutation) == faulty
+
+
+def test_the_oracle_shapes_reach_every_n():
+    assert {n for n, _ in ORACLE_SHAPES} == {1, 2, 3, 4, 5}
+    assert (1, 8) in ORACLE_SHAPES and (3, 7) in ORACLE_SHAPES and (5, 5) in ORACLE_SHAPES
 
 
 def _composed_query(p, desired, u, rng):

@@ -22,6 +22,10 @@ UNREFERENCED = {
     "audit.query_distribution": "tests/test_acceptance.py",
     "wire.decode_frame": "tests/test_acceptance.py",
     "plan.build_pir_plan": "perfbench/tracing.py and tests",
+    "scheme.assign_common_randomness": "tests/test_acceptance.py; the oracle for T_k's one-pass build",
+    "audit.misdecoded_symbols": "tests/test_audit.py checks it on emitted tables against brute force",
+    "audit.database_privacy_leak": "tests/test_audit.py checks it on emitted tables against brute force",
+    "audit.cr_difference_leak": "tests/test_audit.py checks it on emitted tables against brute force",
 }
 UNUSED_IMPORTS = {
     "scheme.build_pir_plan": "perfbench/tracing.py wraps scheme.build_pir_plan",
