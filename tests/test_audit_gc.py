@@ -1,0 +1,37 @@
+"""tools/audit_gc.py's probe, run in this process; no process is started."""
+import gc
+import importlib.util
+from pathlib import Path
+
+import spircr
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "audit_gc.py"
+_spec = importlib.util.spec_from_file_location("audit_gc", _PATH)
+audit_gc = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(audit_gc)
+
+
+def test_the_probe_reads_the_count_and_the_collections_of_one_audit():
+    callbacks = list(gc.callbacks)
+    found = audit_gc.probe(1, 2, 2)
+    assert found["params"] == [1, 2, 2]
+    assert len(found["count_before"]) == 3 and all(c >= 0 for c in found["count_before"])
+    assert all(set(c) == {"generation", "collected"} for c in found["collections"])
+    assert gc.callbacks == callbacks  # its own callback is gone
+
+
+def test_a_collection_inside_the_audit_is_recorded(monkeypatch):
+    real = spircr.run_all_audits
+
+    def collecting(params):
+        gc.collect()
+        return real(params)
+
+    monkeypatch.setattr(spircr, "run_all_audits", collecting)
+    assert audit_gc.probe(1, 2, 2)["collections"][0]["generation"] == 2
+
+
+def test_arguments_other_than_three_numbers_are_a_usage_error(capsys):
+    for argv in ([], ["1", "2"], ["1", "2", "x"], ["1", "2", "2", "3"]):
+        assert audit_gc.main(argv) == 2
+    assert capsys.readouterr().err.count("usage: audit_gc.py N K Q") == 4
