@@ -141,7 +141,6 @@ def assign_common_randomness(plan: PirPlan, params: SchemeParams) -> QueryTable:
 
 @functools.lru_cache(maxsize=256)
 def _honest_table(params: SchemeParams, desired: int) -> QueryTable:
-    # plan_layout's indices under identity orderings are assign_common_randomness'
     per_db = plan_layout(params, desired, (identity_permutation(params.L),) * params.K)
     return tuple(
         tuple([SpirRequest(terms, index) for _, terms, index in sorted(reqs)]) for reqs in per_db

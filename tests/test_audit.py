@@ -535,7 +535,7 @@ def test_each_canonical_plan_is_masked_once(monkeypatch):
 
 
 @pytest.mark.parametrize("n,k", [(1, 8), (2, 3)])
-def test_the_audits_derive_each_request_s_columns_once(n, k, monkeypatch):
+def test_the_rank_audits_derive_each_request_columns_once(n, k, monkeypatch):
     # reliability and both leak audits read one set of columns per T_k
     p = SchemeParams.create(n, k, 2)
     derived = []

@@ -198,11 +198,6 @@ def test_the_one_pass_table_is_the_masked_identity_plan(n, k):
             assert canonical_table(p, desired, mutation) == faulty
 
 
-def test_the_oracle_shapes_reach_every_n():
-    assert {n for n, _ in ORACLE_SHAPES} == {1, 2, 3, 4, 5}
-    assert (1, 8) in ORACLE_SHAPES and (3, 7) in ORACLE_SHAPES and (5, 5) in ORACLE_SHAPES
-
-
 def _composed_query(p, desired, u, rng):
     """The honest query as the public steps compose it: build the plan with
     drawn orderings, mask it at seed 1, draw a non-seed variant (N >= 2),
