@@ -75,13 +75,18 @@ The orbit key names the orbit under that group (orbit_key):
     masked). No nonzero shift fixes a query, because it moves the index on
     the W_k 1-sum, so |O_k| = rs and P(q | k, u) = 1.
 
-Audits:
+Audits, each reading T_k as one TableCheck (user S1):
   reliability        every step of sim.decode_plan leaves exactly the desired
                      symbol's column, mod q; the plan is read from the shipped
-                     code, sim.decode's arithmetic is modelled (misdecoded_symbols)
+                     code, sim.decode's arithmetic is modelled
+                     (TableCheck.misdecoded_symbols)
   user-privacy       per-database query distribution forgets the desired index
   database-privacy   I(T, answers, S_u; undesired message symbols) = 0
+                     (TableCheck.database_privacy_leak)
   cr-difference      I(T, answers, S_u, W_k; pool symbols other than S_u) = 0
+                     (TableCheck.cr_difference_leak)
+The three per-table checks are not tied to T_k: TableCheck(params, desired,
+user_index, table) checks any table, such as one select_query emitted.
 
 The exact query distribution is the acceptance gate's oracle, not an audit
 path: query_distribution enumerates every coin through tables_for_seed into
@@ -340,7 +345,7 @@ def user_privacy_audit(params: SchemeParams, mutation: Mutation | None = None) -
     index k; that is condition (a), and (b) follows from it (module
     docstring).
     """
-    tables = [canonical_table(params, k, mutation) for k in range(1, params.K + 1)]
+    tables = [_representative(params, k, mutation).table for k in range(1, params.K + 1)]
     coverage = _coverage(params, len(tables))
     for db in range(params.N):
         base = orbit_key(params, tables[0][db])
@@ -368,20 +373,6 @@ def user_privacy_audit(params: SchemeParams, mutation: Mutation | None = None) -
 
 # ---------------------------------------------------------------------------
 # Rank identities over F_q, on the columns each answer sums
-
-
-def _table_columns(params: SchemeParams, table: QueryTable) -> list[list[int]]:
-    """request_columns of every request, database by database."""
-    return [request_columns(params, sr) for db_reqs in table for sr in db_reqs]
-
-
-@functools.lru_cache(maxsize=256)
-def _representative(
-    params: SchemeParams, desired: int, mutation: Mutation | None
-) -> tuple[QueryTable, list[list[int]]]:
-    """T_k and its requests' columns, derived once for the three rank audits."""
-    table = canonical_table(params, desired, mutation)
-    return table, _table_columns(params, table)
 
 
 def _row(plus: list[int], minus: list[int], q: int) -> dict[int, int]:
@@ -434,80 +425,79 @@ def _leak(params: SchemeParams, view: list[list[int]], target: set[int]) -> int:
     return leak
 
 
-def misdecoded_symbols(
-    params: SchemeParams, desired: int, seed: int, table: QueryTable
-) -> list[int]:
-    """Desired symbols whose sim.decode_plan step is not exactly that symbol.
+class TableCheck:
+    """One query table as a user sends it for W_desired holding S_user_index,
+    with the checks the paper states per retrieval. Any table can be
+    checked: the audits build one for T_k, tests for every emitted table.
 
-    A step subtracts its companion's columns (or the user's pool column)
-    from its source's; the plan yields W_desired for every (W, S) exactly
-    when what is left is the symbol's own column once, mod q, so an empty
-    list is a proof of the plan. The plan is the one sim.decode follows;
-    how a step is applied (subtract the companion's answer or S_u, reduce
-    mod q, file the result under its symbol) is this function's model of
-    sim.decode, not a reading of it. tests/test_audit.py's
-    test_rank_audits_match_brute_force ties the model to sim.decode.
-    Raises DecodeError wherever sim.decode_plan does.
+    columns holds each request's sim.request_columns, database by database,
+    so that position i is the request sim.decode_plan calls i.
     """
-    return _misdecoded(params, desired, seed, table, _table_columns(params, table))
+
+    __slots__ = ("params", "desired", "user_index", "table", "columns")
+
+    def __init__(self, params: SchemeParams, desired: int, user_index: int, table: QueryTable):
+        self.params, self.desired, self.user_index, self.table = params, desired, user_index, table
+        self.columns = [request_columns(params, sr) for db_reqs in table for sr in db_reqs]
+
+    def misdecoded_symbols(self) -> list[int]:
+        """Desired symbols whose sim.decode_plan step is not exactly that symbol.
+
+        A step subtracts its companion's columns (or the user's pool column)
+        from its source's; the plan yields W_desired for every (W, S) exactly
+        when what is left is the symbol's own column once, mod q, so an empty
+        list is a proof of the plan. The plan is the one sim.decode follows;
+        how a step is applied (subtract the companion's answer or S_u, reduce
+        mod q, file the result under its symbol) is this method's model of
+        sim.decode, not a reading of it. tests/test_audit.py's
+        test_rank_audits_match_brute_force ties the model to sim.decode.
+        Raises DecodeError wherever sim.decode_plan does.
+        """
+        params, desired, seed, columns = self.params, self.desired, self.user_index, self.columns
+        wrong = []
+        for sym, source, companion in decode_plan(params, desired, self.table, seed):
+            sub = [pool_column(params, seed)] if companion is None else columns[companion]
+            if _row(columns[source], sub + [message_column(params, desired, sym)], params.q):
+                wrong.append(sym)
+        return wrong
+
+    def database_privacy_leak(self) -> int:
+        """I(answers, S_user_index; undesired message symbols | T) in q-ary units."""
+        params, desired = self.params, self.desired
+        view = self.columns + [[pool_column(params, self.user_index)]]
+        target = {
+            message_column(params, m, s)
+            for m in range(1, params.K + 1)
+            if m != desired
+            for s in range(1, params.L + 1)
+        }
+        return _leak(params, view, target)
+
+    def cr_difference_leak(self) -> int:
+        """I(answers, S_user_index, W_desired; pool symbols other than S_user_index | T)."""
+        params, seed = self.params, self.user_index
+        view = (
+            self.columns
+            + [[pool_column(params, seed)]]
+            + [[message_column(params, self.desired, s)] for s in range(1, params.L + 1)]
+        )
+        target = {pool_column(params, i) for i in range(1, params.rs_size + 1) if i != seed}
+        return _leak(params, view, target)
 
 
-def _misdecoded(
-    params: SchemeParams, desired: int, seed: int, table: QueryTable, columns: list[list[int]]
-) -> list[int]:
-    """misdecoded_symbols, given the table's _table_columns."""
-    wrong = []
-    for sym, source, companion in decode_plan(params, desired, table, seed):
-        sub = [pool_column(params, seed)] if companion is None else columns[companion]
-        if _row(columns[source], sub + [message_column(params, desired, sym)], params.q):
-            wrong.append(sym)
-    return wrong
-
-
-def database_privacy_leak(params: SchemeParams, desired: int, seed: int, table: QueryTable) -> int:
-    """I(answers, S_seed; undesired message symbols | T) in q-ary units."""
-    return _database_privacy(params, desired, seed, _table_columns(params, table))
-
-
-def _database_privacy(
-    params: SchemeParams, desired: int, seed: int, columns: list[list[int]]
-) -> int:
-    """database_privacy_leak, given the table's _table_columns."""
-    view = columns + [[pool_column(params, seed)]]
-    target = {
-        message_column(params, m, s)
-        for m in range(1, params.K + 1)
-        if m != desired
-        for s in range(1, params.L + 1)
-    }
-    return _leak(params, view, target)
-
-
-def cr_difference_leak(params: SchemeParams, desired: int, seed: int, table: QueryTable) -> int:
-    """I(answers, S_seed, W_desired; pool symbols other than S_seed | T)."""
-    return _cr_difference(params, desired, seed, _table_columns(params, table))
-
-
-def _cr_difference(
-    params: SchemeParams, desired: int, seed: int, columns: list[list[int]]
-) -> int:
-    """cr_difference_leak, given the table's _table_columns."""
-    view = (
-        columns
-        + [[pool_column(params, seed)]]
-        + [[message_column(params, desired, s)] for s in range(1, params.L + 1)]
-    )
-    target = {pool_column(params, i) for i in range(1, params.rs_size + 1) if i != seed}
-    return _leak(params, view, target)
+@functools.lru_cache(maxsize=256)
+def _representative(params: SchemeParams, desired: int, mutation: Mutation | None) -> TableCheck:
+    """T_k at user S1, built and its columns derived once for the four audits."""
+    return TableCheck(params, desired, 1, canonical_table(params, desired, mutation))
 
 
 def reliability_audit(params: SchemeParams, mutation: Mutation | None = None) -> AuditReport:
     """Decode must return the stored desired message on every joint outcome."""
     name = "reliability"
     for desired in range(1, params.K + 1):
-        table, columns = _representative(params, desired, mutation)
+        check = _representative(params, desired, mutation)
         try:
-            wrong = _misdecoded(params, desired, 1, table, columns)
+            wrong = check.misdecoded_symbols()
         except DecodeError as e:
             value = f"desired W{desired}: structurally undecodable ({e})"
         else:
@@ -518,7 +508,7 @@ def reliability_audit(params: SchemeParams, mutation: Mutation | None = None) ->
             name,
             False,
             value,
-            witness=f"user S1, query {_render_table(table, params.L)}",
+            witness=f"user S1, query {_render_table(check.table, params.L)}",
             details=_coverage(params, desired),
         )
     return _passed(name, "decode exact", params)
@@ -526,8 +516,8 @@ def reliability_audit(params: SchemeParams, mutation: Mutation | None = None) ->
 
 def _leak_audit(params: SchemeParams, mutation: Mutation | None, name: str, leak) -> AuditReport:
     for desired in range(1, params.K + 1):
-        table, columns = _representative(params, desired, mutation)
-        units = leak(params, desired, 1, columns)
+        check = _representative(params, desired, mutation)
+        units = leak(check)
         if units:
             return AuditReport(
                 name,
@@ -535,7 +525,7 @@ def _leak_audit(params: SchemeParams, mutation: Mutation | None, name: str, leak
                 f"desired W{desired}: information leak, I = {units} (exact)",
                 witness=(
                     f"I(view; target | T) = {units} at user S1, "
-                    f"T = {_render_table(table, params.L)}"
+                    f"T = {_render_table(check.table, params.L)}"
                 ),
                 details={"leak": str(units), **_coverage(params, desired)},
             )
@@ -550,13 +540,13 @@ def database_privacy_audit(
     View = (query table, answers, user pool entry); target = every message
     symbol outside the desired message.
     """
-    return _leak_audit(params, mutation, "database-privacy", _database_privacy)
+    return _leak_audit(params, mutation, "database-privacy", TableCheck.database_privacy_leak)
 
 
 def cr_difference_audit(params: SchemeParams, mutation: Mutation | None = None) -> AuditReport:
     """View plus the decoded message must reveal nothing about the rest of
     the pool (the shared-randomness symbols the user does not hold)."""
-    return _leak_audit(params, mutation, "cr-difference", _cr_difference)
+    return _leak_audit(params, mutation, "cr-difference", TableCheck.cr_difference_leak)
 
 
 def run_all_audits(params: SchemeParams, mutation: Mutation | None = None) -> list[AuditReport]:

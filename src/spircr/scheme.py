@@ -35,7 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
+from typing import Literal, get_args
 
 from .fields import DrawStream, Permutation, identity_permutation, sample_permutation
 from .plan import (
@@ -58,7 +58,7 @@ class SchemeError(Exception):
 
 
 Mutation = Literal["seed-reuse", "unmask-one", "bare-companion"]
-MUTATIONS: tuple[str, ...] = ("seed-reuse", "unmask-one", "bare-companion")
+MUTATIONS: tuple[str, ...] = get_args(Mutation)
 
 
 @dataclass(frozen=True)

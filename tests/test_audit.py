@@ -9,11 +9,10 @@ from spircr.audit import (
     AuditError,
     Distribution,
     InstanceTooLarge,
+    TableCheck,
     coin_count,
     cr_difference_audit,
-    cr_difference_leak,
     database_privacy_audit,
-    database_privacy_leak,
     joint_space_outcomes,
     orbit_invariant,
     orbit_key,
@@ -312,7 +311,7 @@ def _brute_force(params, desired, seed, table):
 
 def _identity_holds(params, desired, seed, table) -> bool:
     try:
-        return not audit.misdecoded_symbols(params, desired, seed, table)
+        return not TableCheck(params, desired, seed, table).misdecoded_symbols()
     except DecodeError:
         return False
 
@@ -338,8 +337,9 @@ def test_rank_audits_match_brute_force(n, k, q, picks):
                 for _, table in weighted:
                     right, db_info, cr_info = _brute_force(p, desired, seed, table)
                     assert right == _identity_holds(p, desired, seed, table), table
-                    assert db_info == database_privacy_leak(p, desired, seed, table), table
-                    assert cr_info == cr_difference_leak(p, desired, seed, table), table
+                    check = TableCheck(p, desired, seed, table)
+                    assert db_info == check.database_privacy_leak(), table
+                    assert cr_info == check.cr_difference_leak(), table
                     leaky += bool(db_info or cr_info)
                     undecodable += not right
     # the faults exercise both sides of the identities; a single database
@@ -396,15 +396,12 @@ def _dense_values(p, desired, seed, table):
 
 
 def _sparse_values(p, desired, seed, table):
+    check = TableCheck(p, desired, seed, table)
     try:
-        decodes = audit.misdecoded_symbols(p, desired, seed, table)
+        decodes = check.misdecoded_symbols()
     except DecodeError:
         decodes = None
-    return (
-        decodes,
-        database_privacy_leak(p, desired, seed, table),
-        cr_difference_leak(p, desired, seed, table),
-    )
+    return decodes, check.database_privacy_leak(), check.cr_difference_leak()
 
 
 @pytest.mark.parametrize("q", [2, 3, 257])
@@ -554,10 +551,11 @@ def test_the_rank_audits_derive_each_request_columns_once(n, k, monkeypatch):
 
 
 def _rank_values(p, desired, seed, table):
+    check = TableCheck(p, desired, seed, table)
     return (
         _identity_holds(p, desired, seed, table),
-        database_privacy_leak(p, desired, seed, table),
-        cr_difference_leak(p, desired, seed, table),
+        check.database_privacy_leak(),
+        check.cr_difference_leak(),
     )
 
 
@@ -596,8 +594,9 @@ def _enumerated(p, mutation):
         ]
         total = sum(w for _, w, _ in weighted)
         decodes = decodes and all(_identity_holds(p, k, u, t) for u, _, t in weighted)
-        db_info.append(Fraction(sum(w * database_privacy_leak(p, k, u, t) for u, w, t in weighted), total))
-        cr_info.append(Fraction(sum(w * cr_difference_leak(p, k, u, t) for u, w, t in weighted), total))
+        checks = [(w, TableCheck(p, k, u, t)) for u, w, t in weighted]
+        db_info.append(Fraction(sum(w * c.database_privacy_leak() for w, c in checks), total))
+        cr_info.append(Fraction(sum(w * c.cr_difference_leak() for w, c in checks), total))
         for u, w, t in weighted:
             for db, dq in enumerate(t):
                 cond.setdefault((k, u, db), Counter())[dq] += w
@@ -634,11 +633,13 @@ def test_representatives_match_enumeration(n, k, q, mutation):
     reliability, user, database, cr = run_all_audits(p, mutation)
     assert reliability.passed == decodes
     assert user.passed == private
-    for report, info, leak in ((database, db_info, database_privacy_leak),
-                               (cr, cr_info, cr_difference_leak)):
+    for report, info, leak in ((database, db_info, TableCheck.database_privacy_leak),
+                               (cr, cr_info, TableCheck.cr_difference_leak)):
         # every table of desired k has T_k's rank values, so the weighted I
         # is T_k's own, and the audit reports the first nonzero one
-        assert info == [leak(p, d, 1, canonical_table(p, d, mutation)) for d in range(1, k + 1)]
+        assert info == [
+            leak(TableCheck(p, d, 1, canonical_table(p, d, mutation))) for d in range(1, k + 1)
+        ]
         assert _reported_leak(report) == next((i for i in info if i), 0)
 
 

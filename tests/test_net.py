@@ -467,14 +467,20 @@ def _against_fake_database(tmp_path, reply_to):
     user = load_user_file(user_path)[1]
     with socket.create_server(("127.0.0.1", 0)) as listener:
         address = listener.getsockname()
+        # closing the listener does not wake an accept, so a client that
+        # fails before it connects must not leave the fake waiting for ever
+        listener.settimeout(5.0)
 
         def serve_once():
-            conn, _ = listener.accept()
+            try:
+                conn, _ = listener.accept()
+            except OSError:  # no client came: the retrieval failed before connecting
+                return
             with conn:
                 read_frame(conn)
                 reply_to(conn)
 
-        fake = threading.Thread(target=serve_once)
+        fake = threading.Thread(target=serve_once, daemon=True)
         fake.start()
         try:
             with pytest.raises(NetError) as failed:
@@ -687,6 +693,15 @@ def test_half_a_frame_does_not_delay_a_retrieval(pair):
 
 def test_a_peer_that_never_reads_is_dropped(pair, monkeypatch):
     monkeypatch.setattr(net, "_IDLE_S", 0.3)
+    # whether each connection had replies waiting when the server read it
+    read_while_full = []
+    received = net.Connection.received
+
+    def recording(conn, data, now):
+        read_while_full.append(bool(conn.outbox))
+        received(conn, data, now)
+
+    monkeypatch.setattr(net.Connection, "received", recording)
     pair.restart()
     # each frame draws an ERROR reply several times its size
     mismatch = SchemeParams.create(2, 2, 263)
@@ -713,6 +728,9 @@ def test_a_peer_that_never_reads_is_dropped(pair, monkeypatch):
         time.sleep(1.0)
         with pytest.raises((ConnectionResetError, BrokenPipeError)):
             hog.send(frame)
+    # a slow reader also fills the buffers; a stopped one reads no connection
+    # while its replies wait in the outbox
+    assert read_while_full and not any(read_while_full)
 
 
 def test_a_reply_larger_than_the_socket_buffers_arrives_whole(pair, monkeypatch):
