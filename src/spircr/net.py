@@ -27,8 +27,10 @@ The client holds one connection per database in a ``ClientSession`` and
 reuses it for every retrieval a process makes against the same addresses.
 A retrieval writes its N QUERY frames before reading any reply, on the
 caller's thread, so the N databases work on one round at once without
-client threads. An idle connection that its database closed (or wrote to)
-is replaced before use; a query that fails is never sent again.
+client threads. Each reply is read through a ``FrameBuffer``, as a rule
+with one recv, and any octet past the reply is refused. An idle connection
+that its database closed (or wrote to) is replaced before use; a query
+that fails is never sent again.
 
 State file layout: one JSON header line, newline, then X, the database
 state, as little-endian u32: messages row by row, then the pool.
@@ -70,8 +72,6 @@ from .wire import (
     encode_error_payload,
     encode_frame,
     encode_query_payload,
-    read_frame,
-    write_frame,
 )
 
 
@@ -335,6 +335,25 @@ def serve_database(
     state: DatabaseState, db_index: int, host: str = "127.0.0.1", port: int = 0
 ) -> DatabaseServer:
     return DatabaseServer(state, db_index, host, port).start()
+
+
+def write_frame(sock: socket.socket, frame: Frame) -> None:
+    sock.sendall(encode_frame(frame))
+
+
+def read_frame(sock: socket.socket) -> Frame | None:
+    """The one frame a peer sends in reply; None on EOF before any octet.
+    Raises WireError on EOF inside the frame, or on any octet past it."""
+    incoming = FrameBuffer()
+    while data := sock.recv(_RECV_SIZE):
+        frames = incoming.feed(data)
+        if frames:
+            if len(frames) > 1 or len(incoming):
+                raise WireError("octets past the reply frame")
+            return frames[0]
+    if len(incoming):
+        raise WireError(f"connection closed mid-frame ({len(incoming)} octets received)")
+    return None
 
 
 def _where(address: tuple[str, int]) -> str:

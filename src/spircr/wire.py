@@ -30,11 +30,10 @@ shared pool needs (Sun and Jafar, arXiv 1606.08828):
 Answer payload: count:u32 then count * value:u32. Error payload: UTF-8 text.
 Decoding rejects anything malformed or refused with a WireError naming the
 first field or rule that fails, and never raises anything else, whatever
-the input octets.
+the input octets. This module holds no socket code: net.py does all I/O.
 """
 from __future__ import annotations
 
-import socket
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -63,6 +62,9 @@ class FrameType(IntEnum):
     PROVISION = 5
 
 
+_FRAME_TYPES = {int(kind): kind for kind in FrameType}
+
+
 class WireError(Exception):
     """Malformed frame or payload; carries a human-readable reason."""
 
@@ -89,10 +91,10 @@ def _frame_header(data: bytes, pos: int = 0) -> tuple[FrameType, int]:
         raise WireError(f"unsupported version {version}")
     if length > MAX_PAYLOAD:
         raise WireError(f"declared payload of {length} octets exceeds maximum")
-    try:
-        return FrameType(ftype), length
-    except ValueError:
-        raise WireError(f"unknown frame type {ftype}") from None
+    kind = _FRAME_TYPES.get(ftype)
+    if kind is None:
+        raise WireError(f"unknown frame type {ftype}")
+    return kind, length
 
 
 def decode_frame(data: bytes) -> Frame:
@@ -257,19 +259,6 @@ def decode_error_payload(data: bytes) -> str:
         raise WireError("error payload is not valid UTF-8") from None
 
 
-def read_frame(sock: socket.socket) -> Frame | None:
-    """Read one frame from a socket; None on clean EOF at a frame boundary."""
-    head = _read_exact(sock, _HEADER.size, allow_eof=True)
-    if head is None:
-        return None
-    kind, length = _frame_header(head)
-    return Frame(kind, _read_exact(sock, length, allow_eof=False))
-
-
-def write_frame(sock: socket.socket, frame: Frame) -> None:
-    sock.sendall(encode_frame(frame))
-
-
 class FrameBuffer:
     """Splits the octets one connection receives into frames, without
     blocking. Octets past the last whole frame (the start of a pipelined
@@ -277,6 +266,10 @@ class FrameBuffer:
 
     def __init__(self) -> None:
         self._pending = bytearray()
+
+    def __len__(self) -> int:
+        """Octets held past the last whole frame."""
+        return len(self._pending)
 
     def feed(self, data: bytes) -> list[Frame]:
         """Every frame that data completes, in order. Raises WireError on a
@@ -305,15 +298,3 @@ class FrameBuffer:
         elif pos < size:
             pending += data[pos:]
         return frames
-
-
-def _read_exact(sock: socket.socket, n: int, *, allow_eof: bool) -> bytes | None:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            if allow_eof and not buf:
-                return None
-            raise WireError(f"connection closed mid-frame ({len(buf)} of {n} octets)")
-        buf += chunk
-    return buf

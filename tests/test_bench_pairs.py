@@ -54,6 +54,22 @@ def test_summary_quartiles_and_op_counts():
     assert out["all_correct"] is False
 
 
+def test_summary_gives_the_median_ratio_of_each_pair():
+    parent = [_result(2.0, 500), _result(1.0, 400), _result(4.0, 100), _result(3.0, 200)]
+    change = [_result(1.0, 600), _result(1.5, 400), _result(3.0, 300), _result(6.0, 100)]
+    out = bench_pairs.summarize(parent, change, BETTER)
+    latency, ops = out["metrics"]["latency_p50_ms"], out["metrics"]["ops_per_s"]
+    # ratios 0.5, 1.5, 0.75, 2.0 and 1.2, 1.0, 3.0, 0.5: the median over the
+    # pairs, not the ratio of the two sides' medians (0.9 and 1.1667)
+    assert latency["pair_ratio_median"] == 1.125
+    assert ops["pair_ratio_median"] == 1.1
+    assert (latency["change_vs_parent"], ops["change_vs_parent"]) == (-0.1, 0.1667)
+    # a parent run of 0 has no ratio
+    out = bench_pairs.summarize([_result(0.0, 1)], [_result(1.0, 1)], BETTER)
+    assert out["metrics"]["latency_p50_ms"]["pair_ratio_median"] is None
+    assert out["metrics"]["ops_per_s"]["pair_ratio_median"] == 1.0
+
+
 def test_summary_refuses_unpaired_runs():
     with pytest.raises(ValueError):
         bench_pairs.summarize([_result(1.0, 1)], [], BETTER)

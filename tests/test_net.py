@@ -18,14 +18,17 @@ from spircr.net import (
     load_database_state,
     load_user_file,
     provision,
+    read_frame,
     run_client_retrieval,
     serve_database,
+    write_frame,
 )
 from spircr.plan import SchemeParams
 from spircr.scheme import SpirRequest, select_query
 from spircr.sim import RetrievalSeeds, deal, run_retrieval
 from spircr.wire import (
     Frame,
+    FrameBuffer,
     FrameType,
     WireError,
     decode_frame,
@@ -33,8 +36,6 @@ from spircr.wire import (
     encode_error_payload,
     encode_frame,
     encode_query_payload,
-    read_frame,
-    write_frame,
 )
 
 
@@ -206,7 +207,12 @@ def test_pipelined_frames_are_each_answered(served):
     frame = encode_frame(Frame(FrameType.QUERY, encode_query_payload(params, query[0])))
     with socket.create_connection(addresses[0]) as sock:
         sock.sendall(frame + encode_frame(Frame(FrameType.HELLO, b"")) + frame)
-        kinds = [read_frame(sock).ftype for _ in range(3)]
+        replies, incoming = [], FrameBuffer()
+        while len(replies) < 3:
+            data = sock.recv(1 << 16)
+            assert data, f"EOF after {len(replies)} replies"
+            replies += incoming.feed(data)
+        kinds = [reply.ftype for reply in replies]
     assert kinds == [FrameType.ANSWER, FrameType.HELLO, FrameType.ANSWER]
 
 
@@ -236,6 +242,18 @@ def test_frames_before_a_bad_header_are_answered_then_the_connection_ends(pair, 
             got += chunk
     assert got == reply
     pair.retrieve(1, "past-bad-header")
+
+
+@pytest.mark.parametrize("cut", [4, 12], ids=["in-header", "in-payload"])
+def test_read_frame_refuses_a_connection_closed_mid_frame(cut):
+    frame = encode_frame(Frame(FrameType.ANSWER, encode_answer_payload((1, 2))))
+    ours, theirs = socket.socketpair()
+    with ours:
+        with theirs:
+            theirs.sendall(frame[:cut])
+        reason = rf"^connection closed mid-frame \({cut} octets received\)$"
+        with pytest.raises(WireError, match=reason):
+            read_frame(ours)
 
 
 def test_unexpected_frame_type_gets_error(served):
@@ -506,6 +524,16 @@ def test_an_answer_outside_the_field_is_refused(tmp_path):
 
     where, error = _against_fake_database(tmp_path, answer)
     assert error == f"{where} sent a malformed frame: answer 4000000000 outside [0, 257)"
+
+
+@pytest.mark.parametrize("stray", [5, None], ids=["part-frame", "second-frame"])
+def test_a_reply_followed_by_stray_octets_fails_the_retrieval(tmp_path, stray):
+    # a database answers one QUERY with one frame: anything after it, in the
+    # same write, is refused rather than left for the next retrieval to read
+    answer = encode_frame(Frame(FrameType.ANSWER, encode_answer_payload((1, 2))))
+    extra = answer[:stray]
+    where, error = _against_fake_database(tmp_path, lambda conn: conn.sendall(answer + extra))
+    assert error == f"{where} sent a malformed frame: octets past the reply frame"
 
 
 def test_a_database_that_closes_without_answering_fails_the_retrieval(tmp_path):

@@ -12,6 +12,9 @@ Each entry names the reader that keeps it: the acceptance gate
 (tests/test_acceptance.py) or the benchmark (perfbench/), never a test
 alone. An entry leaves its list in the change that makes the name
 referenced or deletes it, so the lists are the to-do list of ROADMAP item 8.
+
+A third scan keeps the I/O in one module: net.py is the only module that
+imports socket or select, so the codecs (wire.py) stay socket-free.
 """
 import ast
 from collections import Counter
@@ -90,6 +93,22 @@ def unused_imports(modules: dict[str, ast.Module]) -> set[str]:
     return found
 
 
+def socket_importers(modules: dict[str, ast.Module]) -> set[str]:
+    """Each module that imports socket or select, at any depth."""
+    found = set()
+    for name, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported = [node.module]
+            else:
+                continue
+            if any(module.split(".")[0] in ("socket", "select") for module in imported):
+                found.add(name)
+    return found
+
+
 def test_every_top_level_name_is_read_inside_src():
     found = unreferenced(_modules())
     assert found - set(UNREFERENCED) == set(), "defined in src/spircr and read by nothing there"
@@ -110,6 +129,10 @@ def test_every_allowlisted_name_is_read_outside_the_tests():
             assert "tests/test_acceptance.py" in reader or "perfbench/" in reader, name
 
 
+def test_only_net_does_socket_io():
+    assert socket_importers(_modules()) == {"net"}, "socket or select imported outside net.py"
+
+
 def test_the_scans_see_a_planted_name():
     # the scans themselves: an unused helper and an unused import are found
     planted = _modules()
@@ -117,3 +140,7 @@ def test_the_scans_see_a_planted_name():
     planted["wire"].body[:0] = ast.parse("import os\n").body
     assert unreferenced(planted) - unreferenced(_modules()) == {"sim._orphan"}
     assert unused_imports(planted) - unused_imports(_modules()) == {"wire.os"}
+    # and a socket import inside a function of wire.py
+    function = next(node for node in planted["wire"].body if isinstance(node, ast.FunctionDef))
+    function.body[:0] = ast.parse("from socket import socketpair\n").body
+    assert socket_importers(planted) == {"net", "wire"}

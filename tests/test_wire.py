@@ -1,5 +1,4 @@
 import random
-import socket
 import struct
 
 import pytest
@@ -24,7 +23,6 @@ from spircr.wire import (
     encode_error_payload,
     encode_frame,
     encode_query_payload,
-    read_frame,
 )
 
 
@@ -160,20 +158,6 @@ def test_error_payload_must_be_utf8():
 def test_a_payload_past_the_maximum_is_not_encoded():
     with pytest.raises(WireError, match=f"^payload of {MAX_PAYLOAD + 1} octets exceeds maximum$"):
         encode_frame(Frame(FrameType.ANSWER, bytes(MAX_PAYLOAD + 1)))
-
-
-@pytest.mark.parametrize("cut,reason", [
-    (4, r"\(4 of 10 octets\)"),
-    (12, r"\(2 of 12 octets\)"),
-], ids=["in-header", "in-payload"])
-def test_read_frame_refuses_a_connection_closed_mid_frame(cut, reason):
-    frame = encode_frame(Frame(FrameType.ANSWER, encode_answer_payload((1, 2))))
-    ours, theirs = socket.socketpair()
-    with ours:
-        with theirs:
-            theirs.sendall(frame[:cut])
-        with pytest.raises(WireError, match=f"^connection closed mid-frame {reason}$"):
-            read_frame(ours)
 
 
 def test_decode_frame_rejects_garbage():

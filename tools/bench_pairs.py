@@ -15,7 +15,9 @@ refuses to go on if a copy holds a ``__pycache__``: byte code left by one
 run would make the side that runs second import faster than the first.
 
 The output has, per workload and per metric, the runs, median, q1 and q3 of
-each side and how many pairs the change won; a tie counts for neither side.
+each side, how many pairs the change won (a tie counts for neither side)
+and pair_ratio_median, the median over pairs of change / parent (None if a
+parent run reads 0).
 Each metric also carries its bound from BENCHMARK.json's end_to_end list and
 a verdict against it (see verdict): the no-regression rule every change is
 held to. What the change does, the claim and any notes are for its author
@@ -107,11 +109,9 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
                 "median": round(median(values), 4), "q1": round(q1, 4), "q3": round(q3, 4),
                 "runs": [round(v, 4) for v in values],
             }
+        paired = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in zip(parent, change)]
         sign = 1 if direction == "higher" else -1
-        wins = sum(
-            sign * (c["metrics"][name]["value"] - p["metrics"][name]["value"]) > 0
-            for p, c in zip(parent, change)
-        )
+        wins = sum(sign * (c - p) > 0 for p, c in paired)
         base = sides["parent"]["median"]
         out["metrics"][name] = {
             "unit": parent[0]["metrics"][name]["unit"],
@@ -119,6 +119,9 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
             **sides,
             "change_wins": f"{wins}/{pairs}",
             "change_vs_parent": round((sides["change"]["median"] - base) / base, 4) if base else None,
+            "pair_ratio_median": (
+                round(median(c / p for p, c in paired), 4) if all(p for p, _ in paired) else None
+            ),
         }
     return out
 
