@@ -76,9 +76,9 @@ The orbit key names the orbit under that group (orbit_key):
     the W_k 1-sum, so |O_k| = rs and P(q | k, u) = 1.
 
 Audits, each reading T_k as one TableCheck (user S1):
-  reliability        every step of sim.decode_plan leaves exactly the desired
-                     symbol's column, mod q; the plan is read from the shipped
-                     code, sim.decode's arithmetic is modelled
+  reliability        the shipped sim.answer_query and sim.decode, run once on
+                     formal X (Kronecker substitution), return each desired
+                     symbol's own column exactly, mod q
                      (TableCheck.misdecoded_symbols)
   user-privacy       per-database query distribution forgets the desired index
   database-privacy   I(T, answers, S_u; undesired message symbols) = 0
@@ -102,6 +102,7 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import ClassVar
 
 from .plan import SchemeParams, messages
@@ -117,8 +118,11 @@ from .scheme import (
     variant_count,
 )
 from .sim import (
+    DatabaseState,
     DecodeError,
-    decode_plan,
+    UserRandomness,
+    answer_query,
+    decode,
     message_column,
     pool_column,
     request_columns,
@@ -375,17 +379,6 @@ def user_privacy_audit(params: SchemeParams, mutation: Mutation | None = None) -
 # Rank identities over F_q, on the columns each answer sums
 
 
-def _row(plus: list[int], minus: list[int], q: int) -> dict[int, int]:
-    """The nonzero coefficients mod q of the sum of X at the plus columns
-    minus the sum at the minus ones, each counted with multiplicity."""
-    row: dict[int, int] = {}
-    for c in plus:
-        row[c] = row.get(c, 0) + 1
-    for c in minus:
-        row[c] = row.get(c, 0) - 1
-    return {c: x % q for c, x in row.items() if x % q}
-
-
 def _leak(params: SchemeParams, view: list[list[int]], target: set[int]) -> int:
     """rank V - rank(V without the target columns) over F_q, for view rows
     given as columns counted with multiplicity, as sim.answer_query sums.
@@ -425,6 +418,30 @@ def _leak(params: SchemeParams, view: list[list[int]], target: set[int]) -> int:
     return leak
 
 
+# ---------------------------------------------------------------------------
+# The shipped decoder on formal answers (Kronecker substitution)
+
+
+@functools.lru_cache(maxsize=16)
+def _formal_state(params: SchemeParams, width: int) -> DatabaseState:
+    """X with column c set to 2^(width*c), and 2^(width*n) standing in for q
+    in the only params fields sim.answer_query, sim.decode and
+    DatabaseState.message read: q, L and K."""
+    n = params.K * params.L + params.rs_size
+    wide = SimpleNamespace(q=1 << width * n, L=params.L, K=params.K)
+    return DatabaseState(wide, tuple([1 << width * c for c in range(n)]))
+
+
+def _vanishes(form: int, width: int, q: int) -> bool:
+    """Whether every signed width-bit digit of form is 0 mod q."""
+    half = 1 << width - 1
+    while form:
+        form, digit = divmod(form + half, 2 * half)
+        if (digit - half) % q:
+            return False
+    return True
+
+
 class TableCheck:
     """One query table as a user sends it for W_desired holding S_user_index,
     with the checks the paper states per retrieval. Any table can be
@@ -441,25 +458,40 @@ class TableCheck:
         self.columns = [request_columns(params, sr) for db_reqs in table for sr in db_reqs]
 
     def misdecoded_symbols(self) -> list[int]:
-        """Desired symbols whose sim.decode_plan step is not exactly that symbol.
+        """Desired symbols that sim.decode does not recover on every (W, S),
+        in symbol order, from one run of the shipped sim.answer_query and
+        sim.decode on the formal X of _formal_state.
 
-        A step subtracts its companion's columns (or the user's pool column)
-        from its source's; the plan yields W_desired for every (W, S) exactly
-        when what is left is the symbol's own column once, mod q, so an empty
-        list is a proof of the plan. The plan is the one sim.decode follows;
-        how a step is applied (subtract the companion's answer or S_u, reduce
-        mod q, file the result under its symbol) is this method's model of
-        sim.decode, not a reading of it. tests/test_audit.py's
-        test_rank_audits_match_brute_force ties the model to sim.decode.
-        Raises DecodeError wherever sim.decode_plan does.
+        Both only add, subtract and reduce mod q, so a decoded symbol minus
+        its own column is, in signed width-bit digits, its integer
+        coefficient on each column; the symbol is right for every (W, S)
+        exactly when all of them are 0 mod the real q. Each is at most
+        2m + 1 in size, m the column count of the table's longest request,
+        even where a decoder adds instead of subtracting, and the width is
+        chosen to hold that. Raises DecodeError wherever sim.decode does on
+        these answers: where sim.decode_plan does, and where two steps give
+        one symbol different coefficients (in the scheme's tables each
+        desired symbol has one step).
         """
-        params, desired, seed, columns = self.params, self.desired, self.user_index, self.columns
-        wrong = []
-        for sym, source, companion in decode_plan(params, desired, self.table, seed):
-            sub = [pool_column(params, seed)] if companion is None else columns[companion]
-            if _row(columns[source], sub + [message_column(params, desired, sym)], params.q):
-                wrong.append(sym)
-        return wrong
+        params, table, columns = self.params, self.table, self.columns
+        width = (2 * max(map(len, columns), default=0) + 1).bit_length() + 1
+        state = _formal_state(params, width)
+        flat = answer_query(columns, state)
+        answers, start = [], 0
+        for reqs in table:
+            answers.append(flat[start : start + len(reqs)])
+            start += len(reqs)
+        user = UserRandomness(self.user_index, state.x[pool_column(params, self.user_index)])
+        decoded = decode(state.params, self.desired, table, tuple(answers), user)
+        want = state.message(self.desired)
+        if decoded == want:
+            return []
+        half = state.params.q >> 1
+        return [
+            s
+            for s, (got, unit) in enumerate(zip(decoded, want), start=1)
+            if not _vanishes((got - unit + half) % (2 * half) - half, width, params.q)
+        ]
 
     def database_privacy_leak(self) -> int:
         """I(answers, S_user_index; undesired message symbols | T) in q-ary units."""

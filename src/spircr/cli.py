@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("region", help="rate region tools")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--k", type=int, required=True)
-    g.add_argument("--target", help="rate triple to test, e.g. 7/4,7/8,1/8")
+    g.add_argument("--target", help="rate triple to test, e.g. 7/4,7/8,1/8 (text and json)")
     g.add_argument("--format", choices=("text", "json", "csv"), default="text")
     g.add_argument("--steps", type=int, default=8, help="csv boundary samples")
 
@@ -249,11 +249,13 @@ def cmd_region(parser, args) -> int:
     if n < 1 or k < 2:
         parser.error("need --n >= 1 and --k >= 2")
     as_csv = args.format == "csv"
+    if as_csv and args.target is not None:
+        return _usage_error("--target does not apply to --format csv")
     if as_csv and args.steps < 1:
         parser.error("--steps must be at least 1")
     if as_csv and args.steps > _MAX_REGION_STEPS:
         parser.error(f"--steps must be at most {_MAX_REGION_STEPS}")
-    target = _parse_triple(parser, args.target) if args.target and not as_csv else None
+    target = _parse_triple(parser, args.target) if args.target else None
     # every format prints rho_u = 1/N^K, with floor(K log10 N) + 1 digits;
     # refuse at once where that is surely past the limit, before any rate is built
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()

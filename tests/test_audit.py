@@ -1,10 +1,12 @@
+import inspect
 import itertools
+import textwrap
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from spircr import audit, scheme
+from spircr import audit, scheme, sim
 from spircr.audit import (
     AuditError,
     Distribution,
@@ -227,9 +229,9 @@ def test_cr_difference_catches_bare_companion():
 def test_reliability_reads_the_shipped_decode_plan(monkeypatch):
     # a decoder that files every recovered value under the next symbol
     p = SchemeParams.create(2, 2, 2)
-    plan = audit.decode_plan
+    plan = sim.decode_plan
     monkeypatch.setattr(
-        audit,
+        sim,
         "decode_plan",
         lambda *args: tuple((s % p.L + 1, src, comp) for s, src, comp in plan(*args)),
     )
@@ -237,6 +239,43 @@ def test_reliability_reads_the_shipped_decode_plan(monkeypatch):
     assert not report.passed
     assert "decode misses W1[" in report.value
     assert report.witness
+
+
+# a fault in how sim.decode applies a step: the text of sim.decode it
+# replaces, and what it puts there
+DECODE_FAULTS = {
+    "adds": ("(flat[source] - (", "(flat[source] + ("),
+    "reverses": ("for i in range(1, params.L + 1))", "for i in range(params.L, 0, -1))"),
+    "drops-companion": ("else flat[companion]", "else 0"),
+}
+
+
+def _faulty_decode(fault):
+    """sim.decode with one fault planted in its own source, reading sim's names."""
+    old, new = DECODE_FAULTS[fault]
+    source = textwrap.dedent(inspect.getsource(sim.decode))
+    assert source.count(old) == 1, fault
+    names = dict(vars(sim))
+    exec(compile(source.replace(old, new), f"<sim.decode, {fault}>", "exec"), names)
+    return names["decode"]
+
+
+@pytest.mark.parametrize("fault", sorted(DECODE_FAULTS))
+@pytest.mark.parametrize("n,k,q", [(2, 2, 257), (3, 2, 257), (2, 3, 3)])
+def test_reliability_runs_the_shipped_decode(n, k, q, fault, monkeypatch):
+    # the plan is sound; the fault is in the arithmetic of sim.decode itself
+    p = SchemeParams.create(n, k, q)
+    assert reliability_audit(p).passed
+    monkeypatch.setattr(audit, "decode", _faulty_decode(fault))
+    report = reliability_audit(p)
+    assert not report.passed
+    assert report.value.startswith("desired W1: decode misses W1["), report.value
+
+
+def test_reliability_is_exact_mod_q_not_over_the_integers(monkeypatch):
+    # over F_2, adding the companion is subtracting it: the decoder stays right
+    monkeypatch.setattr(audit, "decode", _faulty_decode("adds"))
+    assert reliability_audit(SchemeParams.create(2, 2, 2)).passed
 
 
 def test_reliability_catches_bare_companion():
@@ -432,6 +471,20 @@ def test_sparse_audits_match_dense_rows(n, k, q):
     # both outcomes of every check occur somewhere on the grid's faults
     assert (True, False, False) in seen
     assert any(db for _, db, _ in seen)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_reliability_digits_hold_a_term_repeated_past_a_k_sized_width(q):
+    # db1 sums W1[1] c times; its companion at db2 carries the mask alone, so
+    # the step decodes c * W1[1], right exactly when c = 1 mod q. Widths sized
+    # from K hold a count of at most 7 here, and misread the larger ones.
+    p = SchemeParams.create(2, 2, q)
+    rest = [SpirRequest(((1, s),), 1) for s in range(2, p.L + 1)]
+    for c in range(2, 20):
+        table = ((SpirRequest(((1, 1),) * c, 2), *rest[:2]), (SpirRequest((), 2), *rest[2:]))
+        want = _dense_values(p, 1, 1, table)
+        assert want[0] == ([] if c % q == 1 else [1])
+        assert _sparse_values(p, 1, 1, table) == want, c
 
 
 # ---------------------------------------------------------------------------

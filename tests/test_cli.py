@@ -234,6 +234,18 @@ def test_region_csv(capsys):
     assert len(lines) == 6  # header + steps+1 samples
 
 
+@pytest.mark.parametrize("target", ["7/4,7/8,1/8", "1,0,0", "garbage", ""])
+def test_region_csv_refuses_a_target_before_any_row(capsys, monkeypatch, target):
+    # csv samples the boundary and tests no point, so a target is a usage error
+    def unbuilt(*args):
+        raise AssertionError("boundary_rows ran")
+
+    monkeypatch.setattr(cli, "boundary_rows", unbuilt)
+    code, out, err = run(capsys, "region", "--n", "2", "--k", "2", "--format", "csv",
+                         "--target", target)
+    assert (code, out, err) == (2, "", "--target does not apply to --format csv\n")
+
+
 @pytest.mark.parametrize("n,k", [(2, 32), (10, 20)])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_region_past_the_wire_format_limit(capsys, n, k, fmt):
