@@ -476,8 +476,9 @@ def test_sparse_audits_match_dense_rows(n, k, q):
 @pytest.mark.parametrize("q", [2, 3])
 def test_reliability_digits_hold_a_term_repeated_past_a_k_sized_width(q):
     # db1 sums W1[1] c times; its companion at db2 carries the mask alone, so
-    # the step decodes c * W1[1], right exactly when c = 1 mod q. Widths sized
-    # from K hold a count of at most 7 here, and misread the larger ones.
+    # the step decodes c * W1[1], right exactly when c = 1 mod q. A width sized
+    # from K (longest request K + 1 columns) holds digits up to 7 in size, so
+    # it misreads c - 1 from c = 9 on.
     p = SchemeParams.create(2, 2, q)
     rest = [SpirRequest(((1, s),), 1) for s in range(2, p.L + 1)]
     for c in range(2, 20):
