@@ -46,7 +46,6 @@ import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401  perfbench/tracing.py subclasses it
-from contextlib import suppress
 from pathlib import Path
 
 from .fields import Seed, SeededStream, sha256
@@ -210,7 +209,8 @@ class Connection:
         except WireError as e:
             frames = e.frames
             self.closing = True
-        self.outbox += b"".join([encode_frame(self._handle_frame(f)) for f in frames])
+        for frame in frames:
+            self.outbox += encode_frame(self._handle_frame(frame))
         self.closing = self.closing or not data
         self.deadline = now + _IDLE_S
 
@@ -302,8 +302,10 @@ class DatabaseServer:
                         if not writing:
                             conn.received(sock.recv(_RECV_SIZE), now)
                         if conn.outbox:
-                            with suppress(BlockingIOError):  # the peer has no room yet
+                            try:
                                 conn.sent(sock.send(conn.outbox), now)
+                            except BlockingIOError:  # the peer has no room yet
+                                pass
                         if conn.done:
                             end(fd)
                         elif writing != bool(conn.outbox):
@@ -456,7 +458,7 @@ def run_client_retrieval(
     frames = [
         Frame(FrameType.QUERY, encode_query_payload(params, reqs)) for reqs in query
     ]
-    session = _checkout(tuple(tuple(a) for a in addresses))
+    session = _checkout(tuple(map(tuple, addresses)))
     try:
         replies = session.exchange(frames)
     except BaseException:
@@ -464,7 +466,7 @@ def run_client_retrieval(
         raise
     _checkin(session)
     answers = []
-    for address, reply in zip(session.addresses, replies):
+    for address, reply, reqs in zip(session.addresses, replies, query):
         try:
             if reply.ftype == FrameType.ERROR:
                 raise NetError(
@@ -472,9 +474,12 @@ def run_client_retrieval(
                 )
             if reply.ftype != FrameType.ANSWER:
                 raise NetError(f"{_where(address)} sent unexpected {reply.ftype.name} frame")
-            answers.append(decode_answer_payload(reply.payload, params.q))
+            values = decode_answer_payload(reply.payload, params.q)
         except WireError as e:
             raise NetError(f"{_where(address)} sent a malformed frame: {e}") from e
+        if len(values) != len(reqs):
+            raise NetError(f"{_where(address)} sent {len(values)} answers for {len(reqs)} requests")
+        answers.append(values)
     return build_transcript(
         params,
         desired,

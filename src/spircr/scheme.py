@@ -35,7 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, get_args
+from typing import Literal, NamedTuple, get_args
 
 from .fields import DrawStream, Permutation, identity_permutation, sample_permutation
 from .plan import (
@@ -61,12 +61,12 @@ Mutation = Literal["seed-reuse", "unmask-one", "bare-companion"]
 MUTATIONS: tuple[str, ...] = get_args(Mutation)
 
 
-@dataclass(frozen=True)
-class SpirRequest:
+class SpirRequest(NamedTuple):
     """One request as a database receives it: (terms, mask). terms is a plan
     request, ((message, symbol), ...) with messages strictly increasing, and
     cr the index of the pool symbol added to its answer; None only in
-    deliberately broken (fault-injected) queries.
+    deliberately broken (fault-injected) queries. A tuple, so that the many
+    a query table holds are cheap to build, hash and compare.
     """
 
     terms: Terms
@@ -170,14 +170,19 @@ def relabel(
     """Rename pool index i to pool[i] and, given symbols, symbol s of
     message m to symbols[m - 1][s - 1] + 1, restoring each database's
     canonical request order. Unmasked requests stay unmasked."""
-    # One sort for both: a table relabeled by its pool alone keeps its order.
-    rename = (lambda t: t) if symbols is None else functools.partial(_relabel_terms, symbols)
     out = []
     for db_reqs in table:
-        # canonical order, then the position in db_reqs so no two keys tie
-        keyed = sorted((len(sr.terms), rename(sr.terms), i, sr.cr) for i, sr in enumerate(db_reqs))
-        reqs = [SpirRequest(terms, None if cr is None else pool[cr]) for _, terms, _, cr in keyed]
-        out.append(tuple(reqs))
+        # One sort for both: a table relabeled by its pool alone keeps its
+        # order. Canonical order, then the position in db_reqs, so no two
+        # keys tie.
+        keyed = []
+        for i, sr in enumerate(db_reqs):
+            terms = sr.terms if symbols is None else _relabel_terms(symbols, sr.terms)
+            keyed.append((len(terms), terms, i, sr.cr))
+        keyed.sort()
+        out.append(
+            tuple([SpirRequest(terms, None if cr is None else pool[cr]) for _, terms, _, cr in keyed])
+        )
     return tuple(out)
 
 

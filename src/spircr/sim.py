@@ -126,7 +126,7 @@ def answer_query(columns: list[list[int]], state: DatabaseState) -> tuple[int, .
     """Evaluate each request from its columns (request_columns, or the
     server's decode_query_payload): the sum of X at them, mod q."""
     x, q = state.x, state.params.q
-    return tuple([sum([x[c] for c in cols]) % q for cols in columns])
+    return tuple([sum(map(x.__getitem__, cols)) % q for cols in columns])
 
 
 def query_columns(params: SchemeParams, requests: tuple[SpirRequest, ...]) -> list[list[int]]:
@@ -177,9 +177,9 @@ def decode_plan(
                 raise DecodeError(f"no companion answer for a {len(terms)}-sum at db{db}")
             steps.append((sym, source, found[0]))
 
-    missing = sorted(set(range(1, params.L + 1)) - {sym for sym, _, _ in steps})
+    missing = set(range(1, params.L + 1)).difference([step[0] for step in steps])
     if missing:
-        raise DecodeError(f"undecoded desired symbols: {missing}")
+        raise DecodeError(f"undecoded desired symbols: {sorted(missing)}")
     return tuple(steps)
 
 

@@ -34,10 +34,13 @@ the input octets. This module holds no socket code: net.py does all I/O.
 """
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 import struct
 from collections import Counter
-from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 from .plan import SchemeParams, format_terms, subset_count_problems, subset_counts
 from .scheme import SpirRequest
@@ -69,8 +72,7 @@ class WireError(Exception):
     """Malformed frame or payload; carries a human-readable reason."""
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     ftype: FrameType
     payload: bytes
 
@@ -109,16 +111,24 @@ def decode_frame(data: bytes) -> Frame:
     return Frame(kind, data[_HEADER.size :])
 
 
+@functools.lru_cache(maxsize=256)
+def _query_struct(term_counts: tuple[int, ...]) -> struct.Struct:
+    """The whole query payload whose requests have these term counts."""
+    return struct.Struct(">HHIII" + "".join(["H" + "HI" * tc + "I" for tc in term_counts]))
+
+
 def encode_query_payload(params: SchemeParams, requests: tuple[SpirRequest, ...]) -> bytes:
-    """Canonical octets for one database's request list."""
-    out = [_QUERY_HEAD.pack(params.N, params.K, params.q, params.L)]
-    out.append(_U32.pack(len(requests)))
+    """Canonical octets for one database's request list, packed in one call."""
+    values = [params.N, params.K, params.q, params.L, len(requests)]
+    term_counts = []
     for sr in requests:
-        out.append(_U16.pack(len(sr.terms)))
-        for m, s in sr.terms:
-            out.append(_TERM.pack(m, s))
-        out.append(_U32.pack(0 if sr.cr is None else sr.cr))
-    return b"".join(out)
+        terms = sr.terms
+        term_counts.append(len(terms))
+        values.append(len(terms))
+        for term in terms:
+            values += term
+        values.append(0 if sr.cr is None else sr.cr)
+    return _query_struct(tuple(term_counts)).pack(*values)
 
 
 def _check_terms(fields, n_msg: int, length: int) -> None:
@@ -135,15 +145,88 @@ def _shape(n_db: int, n_msg: int, q: int, length: int) -> str:
     return f"N={n_db} K={n_msg} q={q} L={length}"
 
 
+@functools.lru_cache(maxsize=256)
+def _admission(params: SchemeParams):
+    """The check that admits an admissible query at params from one unpack:
+    a function from the payload to its columns, or None for any other
+    payload.
+
+    In canonical order the requests of an admissible query sum the subsets
+    of plan.subset_counts by increasing size, so their term counts, and with
+    them where every field lies, are fixed. Each request's fields from its
+    term count to its last symbol, (tc, m1, s1, ...), sort in canonical
+    order. Its mask cr is read as the term (K+1, cr): pool symbol S_cr is
+    column (K+1) * L + cr + offset of X, as W_m[s] is m * L + s + offset
+    (sim.column_bases).
+    """
+    subsets = sorted([s for s, n in subset_counts(params).items() for _ in range(n)])
+    term_counts = sorted(map(len, subsets))
+    shape = _query_struct(tuple(term_counts))
+    length, offset, pool = params.L, column_bases(params)[0], list(range(1, params.rs_size + 1))
+    size = 5 + sum([2 + 2 * tc for tc in term_counts])  # fields; K+1 is appended at size
+    spans, masks, columns, pos = [], [], [], 5
+    for tc in term_counts:
+        mask = pos + 1 + 2 * tc
+        spans.append(slice(pos, mask))
+        masks.append(mask)
+        # where each column's (message, symbol) lies: each term, then the mask
+        columns += [(i, i + 1) for i in range(pos + 1, mask, 2)] + [(size, mask)]
+        pos = mask + 1
+    bounds = list(itertools.accumulate([tc + 1 for tc in term_counts], initial=0))
+    requests = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    fixed = (params.N, params.K, params.q, length, len(pool), *term_counts)
+    fixed_of = operator.itemgetter(0, 1, 2, 3, 4, *[span.start for span in spans])
+    masks_of = operator.itemgetter(*masks)
+    symbols_of = operator.itemgetter(*[s for m, s in columns if m != size])
+    column_messages, column_symbols = (operator.itemgetter(*at) for at in zip(*columns))
+    extra = (params.K + 1,)
+
+    def admit(data: bytes) -> list[list[int]] | None:
+        if len(data) != shape.size:
+            return None
+        fields = shape.unpack(data)
+        if fixed_of(fields) != fixed:
+            return None
+        symbols = symbols_of(fields)
+        keys = [fields[span] for span in spans]
+        if (
+            sorted(masks_of(fields)) != pool  # every request masked, no mask shared
+            or min(symbols) < 1
+            or max(symbols) > length
+            or sorted(keys) != keys  # canonical order; strict once no column repeats
+            or sorted([key[1::2] for key in keys]) != subsets
+        ):
+            return None
+        fields += extra
+        columns = [
+            m * length + s + offset
+            for m, s in zip(column_messages(fields), column_symbols(fields))
+        ]
+        if len(set(columns)) != len(columns):  # a symbol in two requests
+            return None
+        return [columns[r] for r in requests]
+
+    return admit
+
+
 def decode_query_payload(data: bytes, params: SchemeParams) -> list[list[int]]:
     """Parse, check and admit one database's query against the server's
     params: for each request in order, the columns of X it sums, its terms
     then its mask (what sim.request_columns gives).
 
-    One pass over the octets, one struct unpack per request. Checks run in
-    field order, so the first malformed field names the error whatever
-    follows it; the rules that span requests (shared masks, repeated
-    symbols, subset counts) are checked once the payload is whole.
+    An admissible query is admitted from one unpack (_admission); any
+    other payload is walked (_walk_query), which names what is wrong.
+    """
+    columns = _admission(params)(data)
+    return _walk_query(data, params) if columns is None else columns
+
+
+def _walk_query(data: bytes, params: SchemeParams) -> list[list[int]]:
+    """decode_query_payload in one pass over the octets, one struct unpack
+    per request. Checks run in field order, so the first malformed field
+    names the error whatever follows it; the rules that span requests
+    (shared masks, repeated symbols, subset counts) are checked once the
+    payload is whole.
     """
     size = len(data)
     if size < _QUERY_HEAD.size:

@@ -31,7 +31,23 @@ def test_a_collection_inside_the_audit_is_recorded(monkeypatch):
     assert audit_gc.probe(1, 2, 2)["collections"][0]["generation"] == 2
 
 
+def test_allocated_counts_the_tracked_objects_the_audit_makes(monkeypatch):
+    real = spircr.run_all_audits
+    kept = []
+
+    def allocating(params):
+        kept.extend([] for _ in range(5000))  # 5000 tracked objects, kept alive
+        return real(params)
+
+    assert gc.isenabled()
+    audit_gc.allocated(1, 2, 2)  # fills the caches the audit keeps
+    assert audit_gc.allocated(1, 2, 2) < 100
+    monkeypatch.setattr(spircr, "run_all_audits", allocating)
+    assert 5000 <= audit_gc.allocated(1, 2, 2) < 5100
+    assert gc.isenabled()  # gc is on again after the count
+
+
 def test_arguments_other_than_three_numbers_are_a_usage_error(capsys):
-    for argv in ([], ["1", "2"], ["1", "2", "x"], ["1", "2", "2", "3"]):
+    for argv in ([], ["1", "2"], ["1", "2", "x"], ["1", "2", "2", "3"], ["--allocated", "1", "2"]):
         assert audit_gc.main(argv) == 2
-    assert capsys.readouterr().err.count("usage: audit_gc.py N K Q") == 4
+    assert capsys.readouterr().err.count("usage: audit_gc.py N K Q") == 5

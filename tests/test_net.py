@@ -31,6 +31,7 @@ from spircr.wire import (
     FrameBuffer,
     FrameType,
     WireError,
+    decode_answer_payload,
     decode_frame,
     encode_answer_payload,
     encode_error_payload,
@@ -552,6 +553,27 @@ def test_a_reply_of_the_wrong_type_is_refused(pair, monkeypatch):
     with pytest.raises(NetError, match=re.escape(f"{host}:{port} sent unexpected HELLO frame")):
         pair.retrieve(1, "hello-reply")
     pair.retrieve(2, "after-hello-reply")
+
+
+@pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+def test_an_answer_of_the_wrong_length_names_its_database(pair, monkeypatch, change):
+    # a live database whose handle_frame drops or adds one value: refused
+    # before decoding, naming the database, as every other fault of a server
+    server = pair.servers[1]
+    real = server.handle_frame
+
+    def handle_frame(frame):
+        values = decode_answer_payload(real(frame).payload, pair.params.q)
+        values = values[:-1] if change < 0 else values + (0,)
+        return Frame(FrameType.ANSWER, encode_answer_payload(values))
+
+    monkeypatch.setattr(server, "handle_frame", handle_frame)
+    host, port = server.address
+    reason = f"{host}:{port} sent {3 + change} answers for 3 requests"
+    with pytest.raises(NetError, match=f"^{re.escape(reason)}$"):
+        pair.retrieve(1, f"count{change}")
+    monkeypatch.undo()
+    pair.retrieve(2, f"after-count{change}")
 
 
 @pytest.mark.parametrize("count", [1, 3])

@@ -3,6 +3,7 @@ import struct
 
 import pytest
 
+from spircr import wire
 from spircr.fields import Seed, SeededStream
 from spircr.plan import SchemeParams
 from spircr.scheme import SpirRequest, select_query
@@ -67,8 +68,93 @@ def test_one_pass_parser_matches_request_columns(n, k):
             for u in range(1, p.rs_size + 1):
                 rng = SeededStream(Seed.from_text(f"columns-{n}-{k}-{seed}"))
                 for db_reqs in select_query(p, desired, u, rng):
-                    got = decode_query_payload(encode_query_payload(p, db_reqs), p)
-                    assert got == [request_columns(p, sr) for sr in db_reqs]
+                    payload = encode_query_payload(p, db_reqs)
+                    want = [request_columns(p, sr) for sr in db_reqs]
+                    assert decode_query_payload(payload, p) == want
+                    assert wire._admission(p)(payload) == want  # from one unpack
+
+
+def _fields(p, db_reqs):
+    """The payload's fields, as one struct unpack reads them, and the kind
+    of each: head, tc (term count), m, s or cr."""
+    fields, kinds = [p.N, p.K, p.q, p.L, len(db_reqs)], ["head"] * 5
+    for sr in db_reqs:
+        fields.append(len(sr.terms))
+        kinds.append("tc")
+        for m, s in sr.terms:
+            fields += [m, s]
+            kinds += ["m", "s"]
+        fields.append(sr.cr)
+        kinds.append("cr")
+    return fields, kinds
+
+
+def _mutant(p, db_reqs, rng):
+    """An honest payload with one or two fields copied, swapped or nudged,
+    or two requests of one size swapped, and sometimes an octet changed,
+    cut or added: mostly near misses, and some admissible payloads."""
+    fields, kinds = _fields(p, db_reqs)
+    for _ in range(rng.choice((1, 1, 2))):
+        how = rng.choice(("copy", "swap", "nudge", "requests"))
+        i = rng.randrange(5, len(fields))
+        same = [j for j, kind in enumerate(kinds) if kind == kinds[i] and j != i]
+        if how == "copy" and same:
+            fields[i] = fields[rng.choice(same)]
+        elif how == "swap" and same:
+            j = rng.choice(same)
+            fields[i], fields[j] = fields[j], fields[i]
+        elif how == "nudge":
+            top = 0xFFFF if kinds[i] in ("tc", "m") else 0xFFFFFFFF
+            fields[i] = min(top, max(0, fields[i] + rng.choice((-1, 1))))
+        elif how == "requests":
+            starts = [j for j, kind in enumerate(kinds) if kind == "tc"]
+            a, b = sorted(rng.sample(range(len(starts)), 2))
+            ends = starts[1:] + [len(fields)]
+            first, second = fields[starts[a] : ends[a]], fields[starts[b] : ends[b]]
+            if len(first) == len(second):
+                fields[starts[a] : ends[a]], fields[starts[b] : ends[b]] = second, first
+    fmt = ">HHIII" + "".join("H" if kind in ("tc", "m") else "I" for kind in kinds[5:])
+    payload = bytearray(struct.pack(fmt, *fields))
+    octet = rng.randrange(20)
+    if octet == 0:
+        payload[rng.randrange(len(payload))] = rng.randrange(256)
+    elif octet == 1:
+        del payload[rng.randrange(len(payload)) :]
+    elif octet == 2:
+        payload.append(rng.randrange(256))
+    return bytes(payload)
+
+
+@pytest.mark.parametrize("n,k,q", [(2, 2, 257), (3, 3, 257), (2, 4, 257), (1, 8, 2), (3, 2, 5)])
+def test_one_unpack_admits_exactly_what_the_walk_admits(n, k, q):
+    # 4000 near misses of honest queries per shape, 20000 in all. The one
+    # unpack admits a payload exactly when the field-order walk does, with
+    # the walk's columns; decode_query_payload gives the walk's verdict.
+    p = SchemeParams.create(n, k, q)
+    rng = random.Random(f"admission/{n}/{k}/{q}")
+    honest = [
+        db_reqs
+        for i in range(20)
+        for db_reqs in select_query(
+            p, i % k + 1, i % p.rs_size + 1, SeededStream(Seed.from_text(f"admission/{i}"))
+        )
+    ]
+    admitted = 0
+    for _ in range(4000):
+        payload = _mutant(p, rng.choice(honest), rng)
+        try:
+            walked = wire._walk_query(payload, p)
+        except WireError as e:
+            walked = str(e)
+        fast = wire._admission(p)(payload)
+        assert fast == (None if isinstance(walked, str) else walked), payload.hex()
+        try:
+            verdict = decode_query_payload(payload, p)
+        except WireError as e:
+            verdict = str(e)
+        assert verdict == walked
+        admitted += fast is not None
+    assert 200 < admitted < 3000  # both verdicts are well exercised
 
 
 def test_unmasked_request_encodes_but_is_refused():
