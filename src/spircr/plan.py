@@ -72,6 +72,11 @@ class SchemeParams:
         object.__setattr__(self, "ru_size", 1)
         if self.L >= 1 << 32:
             raise ValueError("L and q must fit in 32 bits for the wire format")
+        # every lru_cache keyed by params hashes them: hash them once
+        object.__setattr__(self, "_hash", hash((self.N, self.K, self.q)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def create(cls, n_db: int, n_msg: int, q: int = 2) -> "SchemeParams":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fields import Seed, SeededStream
 from .plan import SchemeParams
@@ -207,8 +208,7 @@ def decode(
     return tuple(recovered[i] for i in range(1, params.L + 1))
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(NamedTuple):
     """Full record of one retrieval; stable JSON for replay comparison."""
 
     params: SchemeParams
