@@ -13,14 +13,16 @@ peer, or one that stops reading its replies, is dropped. When accept fails
 (out of file descriptors, say), the listener rests for 50 ms or until a
 connection ends, so that the loop does not spin on it.
 
-A server answers a QUERY frame in one pass from its octets to the columns
-of X each request sums (wire.decode_query_payload), and admits it only in
-the scheme's shape: the client's params are the server's, exactly rs
-requests, every one masked, the masks a permutation of 1..rs, requests
-strictly increasing in canonical order, no (message, symbol) in two
-requests, and (N-1)^(t-1) requests over each t-subset of the messages. A
-refused query gets an ERROR frame naming the rule, and the connection keeps
-serving. Nothing yet stops one pool from answering many retrievals, which
+A server answers a QUERY frame from its octets to the columns of X each
+request sums (wire.decode_query_payload), and admits it only in the
+scheme's shape: the client's params are the server's, exactly rs requests,
+every one masked, the masks a permutation of 1..rs, requests strictly
+increasing in canonical order, no (message, symbol) in two requests, and
+(N-1)^(t-1) requests over each t-subset of the messages. An admissible
+query is admitted from one unpack against the instance's layout. Any other
+is walked field by field and refused with an ERROR frame naming the first
+rule it breaks, and the connection keeps serving. Each frame's reply goes
+straight onto its connection's outbox. Nothing yet stops one pool from answering many retrievals, which
 weakens the masking guarantees: state files are meant for one retrieval.
 
 The client holds one connection per database in a ``ClientSession`` and
@@ -241,7 +243,8 @@ class DatabaseServer:
                 columns = decode_query_payload(frame.payload, self.state.params)
             except WireError as e:
                 return Frame(FrameType.ERROR, encode_error_payload(str(e)))
-            return Frame(FrameType.ANSWER, encode_answer_payload(answer_query(columns, self.state)))
+            answer = encode_answer_payload(answer_query(columns, self.state))
+            return tuple.__new__(Frame, (FrameType.ANSWER, answer))
         if frame.ftype == FrameType.HELLO:
             return Frame(FrameType.HELLO, b"")
         return Frame(
@@ -456,7 +459,7 @@ def run_client_retrieval(
         raise NetError(f"need {params.N} database addresses, got {len(addresses)}")
     query = select_query(params, desired, user.index, SeededStream(query_seed))
     frames = [
-        Frame(FrameType.QUERY, encode_query_payload(params, reqs)) for reqs in query
+        tuple.__new__(Frame, (FrameType.QUERY, encode_query_payload(params, reqs))) for reqs in query
     ]
     session = _checkout(tuple(map(tuple, addresses)))
     try:

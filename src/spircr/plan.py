@@ -114,7 +114,7 @@ def _check_desired(params: SchemeParams, desired: int) -> None:
 
 def sample_orderings(params: SchemeParams, rng: DrawStream) -> tuple[Permutation, ...]:
     """One uniform symbol ordering per message, drawn message by message."""
-    return tuple(sample_permutation(params.L, rng) for _ in range(params.K))
+    return tuple([sample_permutation(params.L, rng) for _ in range(params.K)])
 
 
 def build_pir_plan(params: SchemeParams, desired: int, rng: DrawStream) -> PirPlan:

@@ -66,7 +66,8 @@ class SpirRequest(NamedTuple):
     request, ((message, symbol), ...) with messages strictly increasing, and
     cr the index of the pool symbol added to its answer; None only in
     deliberately broken (fault-injected) queries. A tuple, so that the many
-    a query table holds are cheap to build, hash and compare.
+    a query table holds are cheap to build, hash and compare; relabel
+    builds them with tuple.__new__, without a Python-level call each.
     """
 
     terms: Terms
@@ -177,12 +178,15 @@ def relabel(
         # keys tie.
         keyed = []
         for i, sr in enumerate(db_reqs):
-            terms = sr.terms if symbols is None else _relabel_terms(symbols, sr.terms)
+            terms = sr.terms
+            if symbols is not None:  # _relabel_terms, inline: one call fewer per request
+                terms = tuple([(m, symbols[m - 1][s - 1] + 1) for m, s in terms])
             keyed.append((len(terms), terms, i, sr.cr))
         keyed.sort()
-        out.append(
-            tuple([SpirRequest(terms, None if cr is None else pool[cr]) for _, terms, _, cr in keyed])
-        )
+        out.append(tuple([
+            tuple.__new__(SpirRequest, (terms, None if cr is None else pool[cr]))
+            for _, terms, _, cr in keyed
+        ]))
     return tuple(out)
 
 

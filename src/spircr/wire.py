@@ -27,6 +27,14 @@ shared pool needs (Sun and Jafar, arXiv 1606.08828):
   * (N-1)^(t-1) requests over each t-subset of the messages
     (plan.subset_counts, the counts plan_with_perms lays out).
 
+An admissible query has one layout per instance: its requests, in
+canonical order, have the term counts plan.subset_counts fixes. So the
+server admits it from one struct unpack against that layout and a few
+C-level comparisons (_admission). Any other payload is walked field by
+field (_walk_query), which refuses it with the same text as before the
+layout existed: the checks run in the same order, and only the walk names
+a refusal. The two admit exactly the same payloads, with the same columns.
+
 Answer payload: count:u32 then count * value:u32. Error payload: UTF-8 text.
 Decoding rejects anything malformed or refused with a WireError naming the
 first field or rule that fails, and never raises anything else, whatever
@@ -35,7 +43,6 @@ the input octets. This module holds no socket code: net.py does all I/O.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 import struct
 from collections import Counter
@@ -73,6 +80,9 @@ class WireError(Exception):
 
 
 class Frame(NamedTuple):
+    """tuple.__new__(Frame, (ftype, payload)) builds one without the Python
+    call to the __new__ NamedTuple writes: the per-frame paths do."""
+
     ftype: FrameType
     payload: bytes
 
@@ -163,22 +173,22 @@ def _admission(params: SchemeParams):
     term_counts = sorted(map(len, subsets))
     shape = _query_struct(tuple(term_counts))
     length, offset, pool = params.L, column_bases(params)[0], list(range(1, params.rs_size + 1))
-    size = 5 + sum([2 + 2 * tc for tc in term_counts])  # fields; K+1 is appended at size
-    spans, masks, columns, pos = [], [], [], 5
+    spans, masks, places, requests, pos = [], [], [], [], 5
     for tc in term_counts:
         mask = pos + 1 + 2 * tc
         spans.append(slice(pos, mask))
         masks.append(mask)
-        # where each column's (message, symbol) lies: each term, then the mask
-        columns += [(i, i + 1) for i in range(pos + 1, mask, 2)] + [(size, mask)]
+        # where each column's (message, symbol) lies: each term, then the
+        # mask, whose message K+1 is appended to the fields (index -1)
+        requests.append(slice(len(places), len(places) + tc + 1))
+        places += [(i, i + 1) for i in range(pos + 1, mask, 2)] + [(-1, mask)]
         pos = mask + 1
-    bounds = list(itertools.accumulate([tc + 1 for tc in term_counts], initial=0))
-    requests = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    messages = [slice(span.start + 1, span.stop, 2) for span in spans]
     fixed = (params.N, params.K, params.q, length, len(pool), *term_counts)
     fixed_of = operator.itemgetter(0, 1, 2, 3, 4, *[span.start for span in spans])
     masks_of = operator.itemgetter(*masks)
-    symbols_of = operator.itemgetter(*[s for m, s in columns if m != size])
-    column_messages, column_symbols = (operator.itemgetter(*at) for at in zip(*columns))
+    symbols_of = operator.itemgetter(*[s for m, s in places if m != -1])
+    column_messages, column_symbols = (operator.itemgetter(*at) for at in zip(*places))
     extra = (params.K + 1,)
 
     def admit(data: bytes) -> list[list[int]] | None:
@@ -188,13 +198,13 @@ def _admission(params: SchemeParams):
         if fixed_of(fields) != fixed:
             return None
         symbols = symbols_of(fields)
-        keys = [fields[span] for span in spans]
+        keys = list(map(fields.__getitem__, spans))
         if (
             sorted(masks_of(fields)) != pool  # every request masked, no mask shared
             or min(symbols) < 1
             or max(symbols) > length
             or sorted(keys) != keys  # canonical order; strict once no column repeats
-            or sorted([key[1::2] for key in keys]) != subsets
+            or sorted(map(fields.__getitem__, messages)) != subsets
         ):
             return None
         fields += extra
@@ -204,7 +214,7 @@ def _admission(params: SchemeParams):
         ]
         if len(set(columns)) != len(columns):  # a symbol in two requests
             return None
-        return [columns[r] for r in requests]
+        return list(map(columns.__getitem__, requests))
 
     return admit
 
@@ -248,8 +258,6 @@ def _walk_query(data: bytes, params: SchemeParams) -> list[list[int]]:
     rs = params.rs_size
     if count != rs:
         raise WireError(f"{count} requests, expected {rs}: one per pool index")
-    # every message subset the query may sum over is a key, so one lookup
-    # checks a request's messages for range and strict order
     want = subset_counts(params)
     counts: dict[tuple[int, ...], int] = {}
     offset, pool_base = column_bases(params)
@@ -272,11 +280,9 @@ def _walk_query(data: bytes, params: SchemeParams) -> list[list[int]]:
         pos = end
         messages = fields[0:-1:2]
         symbols = fields[1:-1:2]
-        if messages not in want or min(symbols) < 1 or max(symbols) > length:
-            _check_terms(fields, n_msg, length)
-            if any(a >= b for a, b in zip(messages, messages[1:])):
-                raise WireError("request terms not in canonical message order")
-            # what is left is a subset the query never sums: counted below
+        _check_terms(fields, n_msg, length)
+        if any(a >= b for a, b in zip(messages, messages[1:])):
+            raise WireError("request terms not in canonical message order")
         terms = fields[:-1]
         if tc < prev_tc or (tc == prev_tc and terms <= prev_terms):
             reason = "requests not in canonical sorted order"
@@ -371,7 +377,7 @@ class FrameBuffer:
                 end = start + length
                 if end > size:
                     break
-                frames.append(Frame(kind, bytes(data[start:end])))
+                frames.append(tuple.__new__(Frame, (kind, bytes(data[start:end]))))
                 pos = end
         except WireError as e:
             e.frames = frames
