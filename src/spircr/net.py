@@ -22,8 +22,9 @@ increasing in canonical order, no (message, symbol) in two requests, and
 query is admitted from one unpack against the instance's layout. Any other
 is walked field by field and refused with an ERROR frame naming the first
 rule it breaks, and the connection keeps serving. Each frame's reply goes
-straight onto its connection's outbox. Nothing yet stops one pool from answering many retrievals, which
-weakens the masking guarantees: state files are meant for one retrieval.
+straight onto its connection's outbox. Nothing yet stops one pool from
+answering many retrievals, which weakens the masking guarantees: state
+files are meant for one retrieval.
 
 The client holds one connection per database in a ``ClientSession`` and
 reuses it for every retrieval a process makes against the same addresses.

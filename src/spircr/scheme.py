@@ -176,11 +176,14 @@ def relabel(
         # One sort for both: a table relabeled by its pool alone keeps its
         # order. Canonical order, then the position in db_reqs, so no two
         # keys tie.
-        keyed = []
+        keyed, end = [], 0
+        if symbols is not None:  # every term of the database in one pass
+            renamed = [(m, symbols[m - 1][s - 1] + 1) for sr in db_reqs for m, s in sr.terms]
         for i, sr in enumerate(db_reqs):
             terms = sr.terms
-            if symbols is not None:  # _relabel_terms, inline: one call fewer per request
-                terms = tuple([(m, symbols[m - 1][s - 1] + 1) for m, s in terms])
+            if symbols is not None:
+                end += len(terms)
+                terms = tuple(renamed[end - len(terms) : end])
             keyed.append((len(terms), terms, i, sr.cr))
         keyed.sort()
         out.append(tuple([

@@ -10,6 +10,7 @@ exactly.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -198,7 +199,7 @@ def decode(
     for db, (reqs, vals) in enumerate(zip(query, answers), start=1):
         if len(reqs) != len(vals):
             raise DecodeError(f"db{db}: {len(vals)} answers for {len(reqs)} requests")
-    flat = [v for vals in answers for v in vals]
+    flat = list(itertools.chain.from_iterable(answers))
 
     recovered: dict[int, int] = {}
     for sym, source, companion in decode_plan(params, desired, query, user.index):

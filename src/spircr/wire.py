@@ -190,6 +190,7 @@ def _admission(params: SchemeParams):
     symbols_of = operator.itemgetter(*[s for m, s in places if m != -1])
     column_messages, column_symbols = (operator.itemgetter(*at) for at in zip(*places))
     extra = (params.K + 1,)
+    bases = [m * length + offset for m in range(params.K + 2)]  # column of W_m[s] less s
 
     def admit(data: bytes) -> list[list[int]] | None:
         if len(data) != shape.size:
@@ -208,10 +209,8 @@ def _admission(params: SchemeParams):
         ):
             return None
         fields += extra
-        columns = [
-            m * length + s + offset
-            for m, s in zip(column_messages(fields), column_symbols(fields))
-        ]
+        columns = list(map(operator.add, map(bases.__getitem__, column_messages(fields)),
+                           column_symbols(fields)))
         if len(set(columns)) != len(columns):  # a symbol in two requests
             return None
         return list(map(columns.__getitem__, requests))

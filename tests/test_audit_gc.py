@@ -43,7 +43,7 @@ def test_allocated_counts_the_tracked_objects_the_audit_makes(monkeypatch):
     audit_gc.allocated(1, 2, 2)  # fills the caches the audit keeps
     assert audit_gc.allocated(1, 2, 2) < 100
     monkeypatch.setattr(spircr, "run_all_audits", allocating)
-    assert 5000 <= audit_gc.allocated(1, 2, 2) < 5100
+    assert 4900 < audit_gc.allocated(1, 2, 2) < 5100  # the 5000, give or take what the op frees
     assert gc.isenabled()  # gc is on again after the count
 
 
