@@ -190,6 +190,8 @@ def cmd_retrieve(parser, args) -> int:
             print(f"retrieval failed: {e}", file=sys.stderr)
             return 1
     else:
+        if args.user:
+            return _usage_error("--user applies to --endpoints only, not to in-process retrieval")
         params = _params(parser, args)
         _check_desired(parser, params, args.desired)
         try:

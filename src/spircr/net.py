@@ -14,14 +14,9 @@ peer, or one that stops reading its replies, is dropped. When accept fails
 connection ends, so that the loop does not spin on it.
 
 A server answers a QUERY frame from its octets to the columns of X each
-request sums (wire.decode_query_payload), and admits it only in the
-scheme's shape: the client's params are the server's, exactly rs requests,
-every one masked, the masks a permutation of 1..rs, requests strictly
-increasing in canonical order, no (message, symbol) in two requests, and
-(N-1)^(t-1) requests over each t-subset of the messages. An admissible
-query is admitted from one unpack against the instance's layout. Any other
-is walked field by field and refused with an ERROR frame naming the first
-rule it breaks, and the connection keeps serving. Each frame's reply goes
+request sums (wire.decode_query_payload, whose module docstring lists the
+rules it admits by). It refuses any other query with an ERROR frame that
+names why, and the connection keeps serving. Each frame's reply goes
 straight onto its connection's outbox. Nothing yet stops one pool from
 answering many retrievals, which weakens the masking guarantees: state
 files are meant for one retrieval.

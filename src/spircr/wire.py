@@ -30,10 +30,15 @@ shared pool needs (Sun and Jafar, arXiv 1606.08828):
 An admissible query has one layout per instance: its requests, in
 canonical order, have the term counts plan.subset_counts fixes. So the
 server admits it from one struct unpack against that layout and a few
-C-level comparisons (_admission). Any other payload is walked field by
-field (_walk_query), which refuses it with the same text as before the
-layout existed: the checks run in the same order, and only the walk names
-a refusal. The two admit exactly the same payloads, with the same columns.
+C-level comparisons (_admission), the only code that admits a query. A
+refused payload with the layout is named from the fields already
+unpacked, request by request in field order, then by the rules that span
+requests (_refusal): the text each rule has always had. A payload without
+the layout gets a framing check (_misframed), which names the first header
+field, request count, term count, cut or trailing octets that differs from
+it. Its text names the framing even where an earlier request also breaks a
+rule above: "request 3 has 2 terms where the scheme's query has 1", say,
+where request 1 holds an out-of-range message index.
 
 Answer payload: count:u32 then count * value:u32. Error payload: UTF-8 text.
 Decoding rejects anything malformed or refused with a WireError naming the
@@ -58,7 +63,7 @@ VERSION = 1
 MAX_PAYLOAD = 1 << 24
 
 _HEADER = struct.Struct(">4sBBI")
-_QUERY_HEAD = struct.Struct(">HHII")
+_QUERY_HEAD = struct.Struct(">HHIII")  # N, K, q, L and the request count
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _TERM = struct.Struct(">HI")
@@ -141,24 +146,10 @@ def encode_query_payload(params: SchemeParams, requests: tuple[SpirRequest, ...]
     return _query_struct(tuple(term_counts)).pack(*values)
 
 
-def _check_terms(fields, n_msg: int, length: int) -> None:
-    """Raise on the first term of (m1, s1, m2, s2, ...[, cr]) out of range."""
-    for i in range(0, len(fields) - 1, 2):
-        m, s = fields[i], fields[i + 1]
-        if not 1 <= m <= n_msg:
-            raise WireError(f"message index {m} outside [1, {n_msg}]")
-        if not 1 <= s <= length:
-            raise WireError(f"symbol index {s} outside [1, {length}]")
-
-
-def _shape(n_db: int, n_msg: int, q: int, length: int) -> str:
-    return f"N={n_db} K={n_msg} q={q} L={length}"
-
-
 @functools.lru_cache(maxsize=256)
 def _admission(params: SchemeParams):
-    """The check that admits an admissible query at params from one unpack:
-    a function from the payload to its columns, or None for any other
+    """The check that admits a query at params from one unpack: a function
+    from the payload to its columns, which raises WireError on any other
     payload.
 
     In canonical order the requests of an admissible query sum the subsets
@@ -192,12 +183,9 @@ def _admission(params: SchemeParams):
     extra = (params.K + 1,)
     bases = [m * length + offset for m in range(params.K + 2)]  # column of W_m[s] less s
 
-    def admit(data: bytes) -> list[list[int]] | None:
-        if len(data) != shape.size:
-            return None
-        fields = shape.unpack(data)
-        if fixed_of(fields) != fixed:
-            return None
+    def admit(data: bytes) -> list[list[int]]:
+        if len(data) != shape.size or fixed_of(fields := shape.unpack(data)) != fixed:
+            raise _misframed(data, params, term_counts)
         symbols = symbols_of(fields)
         keys = list(map(fields.__getitem__, spans))
         if (
@@ -207,12 +195,12 @@ def _admission(params: SchemeParams):
             or sorted(keys) != keys  # canonical order; strict once no column repeats
             or sorted(map(fields.__getitem__, messages)) != subsets
         ):
-            return None
+            raise _refusal(params, fields, spans)
         fields += extra
         columns = list(map(operator.add, map(bases.__getitem__, column_messages(fields)),
                            column_symbols(fields)))
         if len(set(columns)) != len(columns):  # a symbol in two requests
-            return None
+            raise _refusal(params, fields, spans)
         return list(map(columns.__getitem__, requests))
 
     return admit
@@ -221,97 +209,76 @@ def _admission(params: SchemeParams):
 def decode_query_payload(data: bytes, params: SchemeParams) -> list[list[int]]:
     """Parse, check and admit one database's query against the server's
     params: for each request in order, the columns of X it sums, its terms
-    then its mask (what sim.request_columns gives).
-
-    An admissible query is admitted from one unpack (_admission); any
-    other payload is walked (_walk_query), which names what is wrong.
+    then its mask (what sim.request_columns gives). Raises WireError naming
+    why any other payload is refused.
     """
-    columns = _admission(params)(data)
-    return _walk_query(data, params) if columns is None else columns
+    return _admission(params)(data)
 
 
-def _walk_query(data: bytes, params: SchemeParams) -> list[list[int]]:
-    """decode_query_payload in one pass over the octets, one struct unpack
-    per request. Checks run in field order, so the first malformed field
-    names the error whatever follows it; the rules that span requests
-    (shared masks, repeated symbols, subset counts) are checked once the
-    payload is whole.
-    """
-    size = len(data)
-    if size < _QUERY_HEAD.size:
-        raise WireError("payload truncated")
-    n_db, n_msg, q, length = _QUERY_HEAD.unpack_from(data)
-    if n_db < 1 or n_msg < 1 or q < 2 or length < 1:
-        raise WireError(f"implausible parameters {_shape(n_db, n_msg, q, length)}")
-    if (n_db, n_msg, q, length) != (params.N, params.K, params.q, params.L):
-        raise WireError(
-            f"parameter mismatch: client {_shape(n_db, n_msg, q, length)}, "
-            f"server {_shape(params.N, params.K, params.q, params.L)}"
-        )
-    pos = _QUERY_HEAD.size + _U32.size
-    if pos > size:
-        raise WireError("payload truncated")
-    (count,) = _U32.unpack_from(data, _QUERY_HEAD.size)
-    if count > MAX_PAYLOAD // _TERM.size:
-        raise WireError(f"implausible request count {count}")
-    rs = params.rs_size
-    if count != rs:
-        raise WireError(f"{count} requests, expected {rs}: one per pool index")
-    want = subset_counts(params)
-    counts: dict[tuple[int, ...], int] = {}
-    offset, pool_base = column_bases(params)
-    columns = []
-    every = []  # all columns of all requests: terms and masks never share one
-    prev_tc, prev_terms = 0, ()
-    for _ in range(count):
+def _misframed(data: bytes, params: SchemeParams, term_counts: list[int]) -> WireError:
+    """Why a payload without the layout of params is refused: the first of
+    the header, the request count, the term counts in order, the cut or the
+    trailing octets that differs from it."""
+    size, pos = len(data), _QUERY_HEAD.size
+    if size < pos:
+        return WireError("payload truncated")
+    head = _QUERY_HEAD.unpack_from(data)
+    client, server, count = head[:4], (params.N, params.K, params.q, params.L), head[4]
+    if client != server:
+        shape = "N={} K={} q={} L={}".format
+        return WireError(f"parameter mismatch: client {shape(*client)}, server {shape(*server)}")
+    if count != len(term_counts):
+        return WireError(f"{count} requests, expected {len(term_counts)}: one per pool index")
+    for i, want in enumerate(term_counts, 1):
         if pos + _U16.size > size:
-            raise WireError("payload truncated")
+            return WireError("payload truncated")
         (tc,) = _U16.unpack_from(data, pos)
-        pos += _U16.size
-        if tc < 1:
-            raise WireError("request with zero terms")
-        end = pos + tc * _TERM.size + _U32.size
-        if end > size:
-            whole = min(tc, (size - pos) // _TERM.size)
-            _check_terms(struct.unpack_from(">" + "HI" * whole, data, pos), n_msg, length)
-            raise WireError("payload truncated")
-        fields = struct.unpack_from(">" + "HI" * tc + "I", data, pos)
-        pos = end
-        messages = fields[0:-1:2]
-        symbols = fields[1:-1:2]
-        _check_terms(fields, n_msg, length)
+        if tc != want:
+            return WireError(f"request {i} has {tc} terms where the scheme's query has {want}")
+        pos += _U16.size + tc * _TERM.size + _U32.size
+    if pos > size:  # header, count and term counts match, so the length does not
+        return WireError("payload truncated")
+    return WireError(f"{size - pos} trailing octets in payload")
+
+
+def _refusal(params: SchemeParams, fields: tuple[int, ...], spans: list[slice]) -> WireError:
+    """Why a payload with the layout of params, unpacked to fields, is
+    refused: the first rule it breaks, request by request in field order
+    (each term's message and symbol in range, terms by message, requests in
+    canonical order, the mask), then the rules that span requests (shared
+    masks, repeated symbols, subset counts)."""
+    n_msg, length, rs = params.K, params.L, params.rs_size
+    prev: tuple[int, ...] = ()
+    counts: Counter[tuple[int, ...]] = Counter()
+    pairs: Counter[tuple[int, int]] = Counter()
+    for span in spans:
+        key = fields[span]  # (tc, m1, s1, ...); the layout keeps tc from falling
+        messages, terms = key[1::2], tuple(zip(key[1::2], key[2::2]))
+        for m, s in terms:
+            if not 1 <= m <= n_msg:
+                return WireError(f"message index {m} outside [1, {n_msg}]")
+            if not 1 <= s <= length:
+                return WireError(f"symbol index {s} outside [1, {length}]")
         if any(a >= b for a, b in zip(messages, messages[1:])):
-            raise WireError("request terms not in canonical message order")
-        terms = fields[:-1]
-        if tc < prev_tc or (tc == prev_tc and terms <= prev_terms):
-            reason = "requests not in canonical sorted order"
-            if terms == prev_terms:
-                reason += f": {format_terms(tuple(zip(messages, symbols)))} twice"
-            raise WireError(reason)
-        prev_tc, prev_terms = tc, terms
-        cr = fields[-1]
+            return WireError("request terms not in canonical message order")
+        if key <= prev:
+            twice = f": {format_terms(terms)} twice" if key == prev else ""
+            return WireError(f"requests not in canonical sorted order{twice}")
+        prev = key
+        cr = fields[span.stop]
         if cr == 0:
-            raise WireError("unmasked request: every request carries a pool index")
+            return WireError("unmasked request: every request carries a pool index")
         if cr > rs:
-            raise WireError(f"mask index {cr} outside [1, {rs}]")
-        counts[messages] = counts.get(messages, 0) + 1
-        cols = [m * length + s + offset for m, s in zip(messages, symbols)]
-        cols.append(pool_base + cr)
-        columns.append(cols)
-        every += cols
-    if pos != size:
-        raise WireError(f"{size - pos} trailing octets in payload")
-    if len(set(every)) != len(every):
-        masks = Counter(cols[-1] - pool_base for cols in columns)
-        (shared, n), = masks.most_common(1)
-        if n > 1:
-            raise WireError(f"pool index {shared} masks {n} requests: each masks one")
-        (col, _), = Counter(every).most_common(1)
-        m, s = divmod(col - offset - 1, length)
-        raise WireError(f"symbol W{m}[{s + 1}] in two requests")
-    if counts != want:
-        raise WireError(f"wrong query shape: {subset_count_problems(params, counts)[0]}")
-    return columns
+            return WireError(f"mask index {cr} outside [1, {rs}]")
+        counts[messages] += 1
+        pairs.update(terms)
+    ((shared, n),) = Counter(fields[span.stop] for span in spans).most_common(1)
+    if n > 1:
+        return WireError(f"pool index {shared} masks {n} requests: each masks one")
+    (((m, s), n),) = pairs.most_common(1)
+    if n > 1:
+        return WireError(f"symbol W{m}[{s}] in two requests")
+    return WireError(f"wrong query shape: {subset_count_problems(params, counts)[0]}")
 
 
 def encode_answer_payload(values: tuple[int, ...]) -> bytes:

@@ -135,6 +135,15 @@ def test_retrieve_endpoints_refuse_ignored_flags(capsys, tmp_path, flags):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_retrieve_user_without_endpoints_is_a_usage_error(capsys, tmp_path):
+    # in process the user file would go unread, a missing one unnoticed
+    code, out, err = run(capsys, "retrieve", "--n", "2", "--k", "2", "--desired", "1",
+                         "--user", str(tmp_path / "missing.json"))
+    assert code == 2
+    assert out == ""
+    assert err == "--user applies to --endpoints only, not to in-process retrieval\n"
+
+
 @pytest.mark.parametrize("endpoints,reason", [
     ("127.0.0.1:x,127.0.0.1:1", "port 'x' of '127.0.0.1:x' is not in 1..65535"),
     ("foo,127.0.0.1:1", "'foo' is not host:port"),
@@ -364,6 +373,8 @@ def test_usage_errors_exit_two(capsys):
         ["retrieve", "--n", "1", "--k", "2", "--desired", "5"],  # desired out of range
         ["region", "--n", "0", "--k", "2"],
         ["region", "--n", "2", "--k", "2", "--target", "1,2"],
+        ["region", "--n", "2", "--k", "2", "--target", "x,1,1"],  # not a rational
+        ["region", "--n", "2", "--k", "2", "--target", "1/0,1,1"],  # zero denominator
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -477,6 +488,14 @@ def test_serve_port_out_of_range_is_usage_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "--port 70000 is not in 0..65535\n"
+
+
+def test_serve_db_index_out_of_range_is_usage_error(capsys, tmp_path):
+    state_path = _provisioned_state(capsys, tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--state", state_path, "--db-index", "3"])  # a (2,2) state
+    assert exc.value.code == 2
+    assert "--db-index must be in [1, 2]" in capsys.readouterr().err
 
 
 def test_provision_under_a_file_fails_in_one_line(capsys, tmp_path):

@@ -43,7 +43,8 @@ def test_params_validation():
         SchemeParams.create(1, 1)
     with pytest.raises(ValueError):
         SchemeParams.create(2, 2, 4)  # composite field size
-    for n, k, q in [(2, 32, 2), (2, 2, 4294967311)]:  # L = 2^32; q a prime past 2^32
+    # L = 2^32; q a prime past 2^32; L = 3^21 > 2^32 with K < 32, found only once L is known
+    for n, k, q in [(2, 32, 2), (2, 2, 4294967311), (3, 21, 2)]:
         with pytest.raises(ValueError, match="^L and q must fit in 32 bits for the wire format$"):
             SchemeParams.create(n, k, q)
     for n, k in [(1, 65536), (65536, 2)]:  # the query header holds N and K in 16 bits

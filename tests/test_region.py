@@ -74,6 +74,8 @@ def test_region_rejections():
         check_region(2, 1, triple(1, 1, 1))
     with pytest.raises(ValueError):
         check_region(0, 2, triple(1, 1, 1))
+    with pytest.raises(ValueError, match="single database cannot serve"):
+        classical_point(1, 3)
     with pytest.raises(ValueError, match="steps must be positive"):
         boundary_rows(2, 2, steps=0)
 

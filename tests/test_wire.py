@@ -1,13 +1,14 @@
 import random
 import struct
+from collections import Counter
 
 import pytest
 
 from spircr import wire
 from spircr.fields import Seed, SeededStream
-from spircr.plan import SchemeParams
+from spircr.plan import SchemeParams, format_terms, subset_count_problems, subset_counts
 from spircr.scheme import SpirRequest, select_query
-from spircr.sim import request_columns
+from spircr.sim import column_bases, request_columns
 from spircr.wire import (
     MAGIC,
     VERSION,
@@ -125,11 +126,128 @@ def _mutant(p, db_reqs, rng):
     return bytes(payload)
 
 
+# The reference: the field-by-field walk that admitted and refused every
+# QUERY before the one-unpack admitter named its own refusals, kept verbatim.
+_QUERY_HEAD = struct.Struct(">HHII")
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_TERM = struct.Struct(">HI")
+
+
+def _check_terms(fields, n_msg: int, length: int) -> None:
+    """Raise on the first term of (m1, s1, m2, s2, ...[, cr]) out of range."""
+    for i in range(0, len(fields) - 1, 2):
+        m, s = fields[i], fields[i + 1]
+        if not 1 <= m <= n_msg:
+            raise WireError(f"message index {m} outside [1, {n_msg}]")
+        if not 1 <= s <= length:
+            raise WireError(f"symbol index {s} outside [1, {length}]")
+
+
+def _shape(n_db: int, n_msg: int, q: int, length: int) -> str:
+    return f"N={n_db} K={n_msg} q={q} L={length}"
+
+
+def _walk_query(data: bytes, params: SchemeParams) -> list[list[int]]:
+    """decode_query_payload in one pass over the octets, one struct unpack
+    per request. Checks run in field order, so the first malformed field
+    names the error whatever follows it; the rules that span requests
+    (shared masks, repeated symbols, subset counts) are checked once the
+    payload is whole.
+    """
+    size = len(data)
+    if size < _QUERY_HEAD.size:
+        raise WireError("payload truncated")
+    n_db, n_msg, q, length = _QUERY_HEAD.unpack_from(data)
+    if n_db < 1 or n_msg < 1 or q < 2 or length < 1:
+        raise WireError(f"implausible parameters {_shape(n_db, n_msg, q, length)}")
+    if (n_db, n_msg, q, length) != (params.N, params.K, params.q, params.L):
+        raise WireError(
+            f"parameter mismatch: client {_shape(n_db, n_msg, q, length)}, "
+            f"server {_shape(params.N, params.K, params.q, params.L)}"
+        )
+    pos = _QUERY_HEAD.size + _U32.size
+    if pos > size:
+        raise WireError("payload truncated")
+    (count,) = _U32.unpack_from(data, _QUERY_HEAD.size)
+    if count > MAX_PAYLOAD // _TERM.size:
+        raise WireError(f"implausible request count {count}")
+    rs = params.rs_size
+    if count != rs:
+        raise WireError(f"{count} requests, expected {rs}: one per pool index")
+    want = subset_counts(params)
+    counts: dict[tuple[int, ...], int] = {}
+    offset, pool_base = column_bases(params)
+    columns = []
+    every = []  # all columns of all requests: terms and masks never share one
+    prev_tc, prev_terms = 0, ()
+    for _ in range(count):
+        if pos + _U16.size > size:
+            raise WireError("payload truncated")
+        (tc,) = _U16.unpack_from(data, pos)
+        pos += _U16.size
+        if tc < 1:
+            raise WireError("request with zero terms")
+        end = pos + tc * _TERM.size + _U32.size
+        if end > size:
+            whole = min(tc, (size - pos) // _TERM.size)
+            _check_terms(struct.unpack_from(">" + "HI" * whole, data, pos), n_msg, length)
+            raise WireError("payload truncated")
+        fields = struct.unpack_from(">" + "HI" * tc + "I", data, pos)
+        pos = end
+        messages = fields[0:-1:2]
+        symbols = fields[1:-1:2]
+        _check_terms(fields, n_msg, length)
+        if any(a >= b for a, b in zip(messages, messages[1:])):
+            raise WireError("request terms not in canonical message order")
+        terms = fields[:-1]
+        if tc < prev_tc or (tc == prev_tc and terms <= prev_terms):
+            reason = "requests not in canonical sorted order"
+            if terms == prev_terms:
+                reason += f": {format_terms(tuple(zip(messages, symbols)))} twice"
+            raise WireError(reason)
+        prev_tc, prev_terms = tc, terms
+        cr = fields[-1]
+        if cr == 0:
+            raise WireError("unmasked request: every request carries a pool index")
+        if cr > rs:
+            raise WireError(f"mask index {cr} outside [1, {rs}]")
+        counts[messages] = counts.get(messages, 0) + 1
+        cols = [m * length + s + offset for m, s in zip(messages, symbols)]
+        cols.append(pool_base + cr)
+        columns.append(cols)
+        every += cols
+    if pos != size:
+        raise WireError(f"{size - pos} trailing octets in payload")
+    if len(set(every)) != len(every):
+        masks = Counter(cols[-1] - pool_base for cols in columns)
+        (shared, n), = masks.most_common(1)
+        if n > 1:
+            raise WireError(f"pool index {shared} masks {n} requests: each masks one")
+        (col, _), = Counter(every).most_common(1)
+        m, s = divmod(col - offset - 1, length)
+        raise WireError(f"symbol W{m}[{s + 1}] in two requests")
+    if counts != want:
+        raise WireError(f"wrong query shape: {subset_count_problems(params, counts)[0]}")
+    return columns
+
+
+def _layout_octets(db_reqs):
+    """The offsets of the octets every admissible query at its params
+    shares: the header, the request count and each term count."""
+    fixed, at = list(range(16)), 16
+    for sr in db_reqs:
+        fixed += [at, at + 1]
+        at += 2 + 6 * len(sr.terms) + 4
+    return fixed
+
+
 @pytest.mark.parametrize("n,k,q", [(2, 2, 257), (3, 3, 257), (2, 4, 257), (1, 8, 2), (3, 2, 5)])
 def test_one_unpack_admits_exactly_what_the_walk_admits(n, k, q):
-    # 4000 near misses of honest queries per shape, 20000 in all. The one
-    # unpack admits a payload exactly when the field-order walk does, with
-    # the walk's columns; decode_query_payload gives the walk's verdict.
+    # 4000 near misses of honest queries per shape, 20000 in all. The
+    # admitter admits a payload exactly when the reference walk does, with
+    # the walk's columns; it refuses a payload with the instance's layout
+    # with the walk's text, and any other payload with a WireError.
     p = SchemeParams.create(n, k, q)
     rng = random.Random(f"admission/{n}/{k}/{q}")
     honest = [
@@ -139,22 +257,28 @@ def test_one_unpack_admits_exactly_what_the_walk_admits(n, k, q):
             p, i % k + 1, i % p.rs_size + 1, SeededStream(Seed.from_text(f"admission/{i}"))
         )
     ]
-    admitted = 0
+    model = encode_query_payload(p, honest[0])
+    fixed = _layout_octets(honest[0])
+    admitted = laid_out = 0
     for _ in range(4000):
         payload = _mutant(p, rng.choice(honest), rng)
         try:
-            walked = wire._walk_query(payload, p)
+            walked = _walk_query(payload, p)
         except WireError as e:
             walked = str(e)
-        fast = wire._admission(p)(payload)
-        assert fast == (None if isinstance(walked, str) else walked), payload.hex()
         try:
             verdict = decode_query_payload(payload, p)
         except WireError as e:
             verdict = str(e)
-        assert verdict == walked
-        admitted += fast is not None
+        has_layout = len(payload) == len(model) and all(payload[i] == model[i] for i in fixed)
+        if has_layout or not isinstance(walked, str):
+            assert verdict == walked, payload.hex()
+        else:
+            assert isinstance(verdict, str), payload.hex()
+        admitted += not isinstance(verdict, str)
+        laid_out += has_layout and isinstance(verdict, str)
     assert 200 < admitted < 3000  # both verdicts are well exercised
+    assert laid_out > 1000  # and refusals named from the one unpack
 
 
 def test_unmasked_request_encodes_but_is_refused():
@@ -207,6 +331,21 @@ def test_admission_refuses_each_broken_rule(rule):
     reqs, reason = REFUSED[rule]
     with pytest.raises(WireError, match=reason):
         decode_query_payload(_payload(reqs), ADMIT)
+
+
+WRONG_COUNT = "request 3 has 1 terms where the scheme's query has 2"
+
+
+@pytest.mark.parametrize("payload,reason", [
+    (_payload([HONEST[0], HONEST[1], (((1, 2),), 3)]), WRONG_COUNT),
+    # an out-of-range message in request 1 too: the framing is named first
+    (_payload([(((3, 1),), 1), HONEST[1], (((1, 2),), 3)]), WRONG_COUNT),
+    (_payload(HONEST)[:-1], "payload truncated"),
+    (_payload(HONEST) + b"\0", "1 trailing octets in payload"),
+], ids=["term-count", "term-count-first", "cut", "trailing"])
+def test_a_payload_without_the_layout_is_refused_for_its_framing(payload, reason):
+    with pytest.raises(WireError, match=f"^{reason}$"):
+        decode_query_payload(payload, ADMIT)
 
 
 def test_parameter_mismatch_names_both_shapes():
