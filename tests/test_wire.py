@@ -126,8 +126,9 @@ def _mutant(p, db_reqs, rng):
     return bytes(payload)
 
 
-# The reference: the field-by-field walk that admitted and refused every
-# QUERY before the one-unpack admitter named its own refusals, kept verbatim.
+# The reference the admitter is fuzzed against: a walk over the payload's
+# octets, one struct unpack per request, that checks each rule as it meets
+# its field and names the first one broken.
 _QUERY_HEAD = struct.Struct(">HHII")
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
